@@ -12,7 +12,7 @@ use crate::namespace::SubtreeMap;
 use hopsfs::client::{ClientStats, OpSource};
 use hopsfs::types::{FsError, FsOk, FsResult};
 use hopsfs::{FsOp, OpKind};
-use simnet::{Actor, Ctx, NodeId, Payload, SimDuration, SimTime};
+use simnet::{Actor, Ctx, FastMap, NodeId, Payload, SimDuration, SimTime};
 use std::any::Any;
 use std::sync::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -41,7 +41,7 @@ pub struct CephClientActor {
     source: Box<dyn OpSource>,
     stats: Arc<Mutex<ClientStats>>,
     /// Kernel cache: path → cached result (attrs or listing).
-    cache: HashMap<(String, bool), FsOk>,
+    cache: FastMap<(String, bool), FsOk>,
     /// Shared steady-state cache: capabilities every client already holds
     /// when the measurement starts (the paper measures warmed clusters;
     /// warming 10k sessions inside the simulation would waste hours of
@@ -82,7 +82,7 @@ impl CephClientActor {
             skip_kcache,
             source,
             stats,
-            cache: HashMap::new(),
+            cache: FastMap::default(),
             prewarm: None,
             cache_order: VecDeque::new(),
             next_req: 0,

@@ -10,8 +10,9 @@
 //! migrations instead charge an export/import pause on the source MDS.
 
 use hopsfs::types::{DirEntry, FsError, InodeAttrs, InodeId, Perm};
+use simnet::FastMap;
 use std::sync::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One namespace entry.
@@ -50,9 +51,9 @@ impl Entry {
 #[derive(Debug)]
 pub struct CephNamespace {
     /// Path → entry. Root is `/`.
-    entries: HashMap<String, Entry>,
+    entries: FastMap<String, Entry>,
     /// Dir path → child names (sorted for deterministic listings).
-    children: HashMap<String, BTreeMap<String, ()>>,
+    children: FastMap<String, BTreeMap<String, ()>>,
     next_id: u64,
 }
 
@@ -93,7 +94,8 @@ impl CephNamespace {
 
     /// Creates a namespace containing only the root.
     pub fn new() -> Self {
-        let mut ns = CephNamespace { entries: HashMap::new(), children: HashMap::new(), next_id: 2 };
+        let mut ns =
+            CephNamespace { entries: FastMap::default(), children: FastMap::default(), next_id: 2 };
         ns.entries.insert(
             "/".to_string(),
             Entry { id: 1, is_dir: true, size: 0, mtime: 0, perm: 0o755 },
@@ -205,14 +207,19 @@ impl CephNamespace {
             Some(p) if !p.is_dir => return Err(FsError::NotDir),
             Some(_) => {}
         }
-        // Collect every path under src (including src).
-        let prefix = format!("{src}/");
-        let moved: Vec<String> = self
-            .entries
-            .keys()
-            .filter(|p| *p == src || p.starts_with(&prefix))
-            .cloned()
-            .collect();
+        // Collect src and every path under it by walking the child maps, so
+        // the cost is the subtree's size, not the namespace's.
+        let mut moved = vec![src.to_string()];
+        let mut next = 0;
+        while next < moved.len() {
+            let dir = &moved[next];
+            let kids: Vec<String> = match self.children.get(dir) {
+                Some(c) => c.keys().map(|name| format!("{dir}/{name}")).collect(),
+                None => Vec::new(),
+            };
+            moved.extend(kids);
+            next += 1;
+        }
         for old in moved {
             let new = format!("{dst}{}", &old[src.len()..]);
             if let Some(e) = self.entries.remove(&old) {
@@ -436,6 +443,51 @@ mod tests {
         assert!(ns.get("/b/moved").is_some());
         assert!(ns.get("/b/moved/f").is_some());
         assert_eq!(ns.list("/a").unwrap().len(), 0);
+    }
+
+    #[test]
+    fn rename_moves_exactly_the_subtree_and_its_child_maps() {
+        let mut ns = CephNamespace::new();
+        for d in ["/a", "/a/sub", "/a/sub/deep", "/a/subway", "/a/subway/x", "/b"] {
+            ns.mkdir(d, 0).unwrap();
+        }
+        for f in ["/a/sub/f", "/a/sub/deep/g", "/a/sub.txt", "/a/subway/x/h"] {
+            ns.create(f, 0, 0).unwrap();
+        }
+        ns.rename("/a/sub", "/b/moved").unwrap();
+        let sorted = |keys: Vec<&String>| {
+            let mut v: Vec<String> = keys.into_iter().cloned().collect();
+            v.sort();
+            v
+        };
+        assert_eq!(
+            sorted(ns.entries.keys().collect()),
+            [
+                "/",
+                "/a",
+                "/a/sub.txt",
+                "/a/subway",
+                "/a/subway/x",
+                "/a/subway/x/h",
+                "/b",
+                "/b/moved",
+                "/b/moved/deep",
+                "/b/moved/deep/g",
+                "/b/moved/f",
+            ]
+        );
+        assert_eq!(
+            sorted(ns.children.keys().collect()),
+            ["/", "/a", "/a/subway", "/a/subway/x", "/b", "/b/moved", "/b/moved/deep"]
+        );
+        let names = |dir: &str| -> Vec<String> {
+            ns.list(dir).unwrap().into_iter().map(|e| e.name).collect()
+        };
+        assert_eq!(names("/a"), ["sub.txt", "subway"]);
+        assert_eq!(names("/b"), ["moved"]);
+        assert_eq!(names("/b/moved"), ["deep", "f"]);
+        assert_eq!(names("/b/moved/deep"), ["g"]);
+        assert_eq!(names("/a/subway/x"), ["h"]);
     }
 
     #[test]

@@ -7,9 +7,8 @@
 
 use crate::namenode::BlockDnHeartbeat;
 use crate::view::FsView;
-use simnet::{Actor, Ctx, DiskOp, NodeId, Payload, SimDuration};
+use simnet::{Actor, Ctx, DiskOp, FastMap, NodeId, Payload, SimDuration};
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Lane-class name for the datanode I/O pool.
@@ -87,7 +86,7 @@ pub struct BlockDnActor {
     /// My block-datanode index.
     pub my_idx: u32,
     /// Stored blocks: id → (len, inode).
-    blocks: HashMap<u64, (u64, u64)>,
+    blocks: FastMap<u64, (u64, u64)>,
     /// Heartbeat period.
     pub heartbeat: SimDuration,
 }
@@ -95,7 +94,12 @@ pub struct BlockDnActor {
 impl BlockDnActor {
     /// Creates block datanode `my_idx`.
     pub fn new(view: Arc<FsView>, my_idx: u32) -> Self {
-        BlockDnActor { view, my_idx, blocks: HashMap::new(), heartbeat: SimDuration::from_millis(500) }
+        BlockDnActor {
+            view,
+            my_idx,
+            blocks: FastMap::default(),
+            heartbeat: SimDuration::from_millis(500),
+        }
     }
 
     /// Number of blocks stored.

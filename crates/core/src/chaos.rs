@@ -94,8 +94,7 @@ impl OpSource for TrackedSource {
 /// whose path was not subsequently acked-deleted. Every op in the returned
 /// script must succeed, or an acknowledged mutation was lost.
 pub fn audit_ops(log: &ChaosLog) -> Vec<FsOp> {
-    let deleted: std::collections::HashSet<&str> =
-        log.acked_deletes.iter().map(String::as_str).collect();
+    let deleted: simnet::FastSet<&str> = log.acked_deletes.iter().map(String::as_str).collect();
     log.acked_mkdirs
         .iter()
         .chain(log.acked_creates.iter())

@@ -17,10 +17,10 @@ use crate::view::FsView;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use simnet::FastMap;
 use simnet::{Actor, AzId, Ctx, Histogram, NodeId, Payload, RetryPolicy, SimDuration, SimTime};
 use std::any::Any;
 use std::sync::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Supplies operations to a client session (closed loop: the next op is
@@ -67,7 +67,7 @@ pub struct ClientStats {
     /// End-to-end latency (ns) per kind.
     pub latency_per_kind: [Histogram; 9],
     /// Error tallies.
-    pub errors: HashMap<&'static str, u64>,
+    pub errors: FastMap<&'static str, u64>,
     /// `Overloaded` responses observed (admission sheds reaching clients).
     /// Counted on every arrival, ignoring `recording` — the chaos
     /// shed-accounting audit needs the full-run tally.
@@ -93,7 +93,7 @@ impl Default for ClientStats {
             err_per_kind: [0; 9],
             latency_all: Histogram::new(),
             latency_per_kind: std::array::from_fn(|_| Histogram::new()),
-            errors: HashMap::new(),
+            errors: FastMap::default(),
             overloaded_responses: 0,
             lease_hits: 0,
             lease_misses: 0,

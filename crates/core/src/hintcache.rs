@@ -19,8 +19,8 @@
 //! Memory stays bounded by `cap` live entries (two half-`cap` generations);
 //! determinism is untouched because no operation iterates a `HashMap`.
 
+use simnet::FastMap;
 use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 type Key = (u64, String);
@@ -83,15 +83,15 @@ pub struct HintCache {
     /// Per-generation capacity: a generation turn happens when `young`
     /// reaches `cap / 2`.
     half: usize,
-    young: HashMap<Key, Hint>,
-    old: HashMap<Key, Hint>,
+    young: FastMap<Key, Hint>,
+    old: FastMap<Key, Hint>,
 }
 
 impl HintCache {
     /// Creates a cache bounded to `cap` entries across both generations.
     pub fn new(cap: usize) -> Self {
         assert!(cap >= 2, "HintCache cap must hold both generations");
-        HintCache { half: cap / 2, young: HashMap::new(), old: HashMap::new() }
+        HintCache { half: cap / 2, young: FastMap::default(), old: FastMap::default() }
     }
 
     /// Looks up a hint; a hit in the old generation promotes the entry to

@@ -41,9 +41,9 @@ use crate::view::FsView;
 use bytes::Bytes;
 use ndb::messages::ReadSpec;
 use ndb::{AbortReason, ClientKernel, LockMode, PartitionKey, RowKey, TxEvent, TxId, WriteOp};
-use simnet::{Actor, Admission, Ctx, Gate, NodeId, Payload, SimDuration, SimTime};
+use simnet::{Actor, Admission, Ctx, FastMap, Gate, NodeId, Payload, SimDuration, SimTime};
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// Lane-class name for the namenode worker pool.
@@ -80,9 +80,9 @@ pub struct BlockDnHeartbeat {
 #[derive(Debug, Default, Clone)]
 pub struct NnStats {
     /// Successfully answered operations per kind.
-    pub ops_ok: HashMap<OpKind, u64>,
+    pub ops_ok: FastMap<OpKind, u64>,
     /// Failed operations per kind (after retries).
-    pub ops_err: HashMap<OpKind, u64>,
+    pub ops_err: FastMap<OpKind, u64>,
     /// Transaction retries performed.
     pub tx_retries: u64,
     /// Inode-hint cache hits.
@@ -389,9 +389,9 @@ pub struct NameNodeActor {
     /// My index among the namenodes.
     pub my_idx: usize,
     kernel: Option<ClientKernel>,
-    ops: HashMap<u64, OpCtx>,
-    tx_to_op: HashMap<TxId, u64>,
-    admin_txs: HashMap<TxId, AdminTx>,
+    ops: FastMap<u64, OpCtx>,
+    tx_to_op: FastMap<TxId, u64>,
+    admin_txs: FastMap<TxId, AdminTx>,
     next_op: u64,
     cache: HintCache,
     ids_next: u64,
@@ -399,7 +399,7 @@ pub struct NameNodeActor {
     id_refill_inflight: bool,
     awaiting_ids: VecDeque<u64>,
     counter: u64,
-    seen: HashMap<u32, (u64, SimTime)>,
+    seen: FastMap<u32, (u64, SimTime)>,
     /// Active namenodes from the last election scan.
     pub active: Vec<ActiveNn>,
     /// Leader from the last election scan.
@@ -489,9 +489,9 @@ impl NameNodeActor {
             view,
             my_idx,
             kernel: None,
-            ops: HashMap::new(),
-            tx_to_op: HashMap::new(),
-            admin_txs: HashMap::new(),
+            ops: FastMap::default(),
+            tx_to_op: FastMap::default(),
+            admin_txs: FastMap::default(),
             next_op: 0,
             cache: HintCache::new(CACHE_CAP),
             ids_next: 0,
@@ -499,7 +499,7 @@ impl NameNodeActor {
             id_refill_inflight: false,
             awaiting_ids: VecDeque::new(),
             counter: 0,
-            seen: HashMap::new(),
+            seen: FastMap::default(),
             active: Vec::new(),
             leader_idx: 0,
             dn_last_hb: vec![SimTime::ZERO; dns],
@@ -2623,7 +2623,7 @@ impl NameNodeActor {
                         Plan::Scan { table: fs.replicas, pk: id }
                     }
                     _ => {
-                        let mut locs: HashMap<u64, Vec<u32>> = HashMap::new();
+                        let mut locs: FastMap<u64, Vec<u32>> = FastMap::default();
                         for r in &rows {
                             let rep = ReplicaRecord::decode(&r.data);
                             locs.entry(rep.block_id).or_default().push(rep.dn_idx);

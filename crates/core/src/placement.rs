@@ -111,7 +111,7 @@ mod tests {
     use crate::config::FsConfig;
     use crate::deploy::build_fs_view_for_tests;
     use rand::SeedableRng;
-    use std::collections::HashSet;
+    use simnet::FastSet;
 
     fn view(policy: PlacementPolicy, dns: usize) -> std::sync::Arc<FsView> {
         let mut cfg = FsConfig::hopsfs_cl(6, 3, 1);
@@ -129,7 +129,7 @@ mod tests {
             let v = view(policy, 9);
             let picked = place_replicas(&v, &[true; 9], Some(AzId(0)), 3, &mut rng());
             assert_eq!(picked.len(), 3);
-            assert_eq!(picked.iter().collect::<HashSet<_>>().len(), 3, "{policy:?}");
+            assert_eq!(picked.iter().collect::<FastSet<_>>().len(), 3, "{policy:?}");
         }
     }
 
@@ -139,7 +139,7 @@ mod tests {
         for seed in 0..20 {
             let mut r = StdRng::seed_from_u64(seed);
             let picked = place_replicas(&v, &[true; 9], Some(AzId(1)), 3, &mut r);
-            let azs: HashSet<_> = picked.iter().map(|&i| v.dn_azs[i]).collect();
+            let azs: FastSet<_> = picked.iter().map(|&i| v.dn_azs[i]).collect();
             assert!(azs.len() >= 2, "replicas all in one AZ: {picked:?}");
             assert_eq!(v.dn_azs[picked[0]], AzId(1), "first replica is writer-local");
         }
@@ -151,7 +151,7 @@ mod tests {
         for seed in 0..20 {
             let mut r = StdRng::seed_from_u64(seed);
             let picked = place_replicas(&v, &[true; 9], None, 3, &mut r);
-            let azs: HashSet<_> = picked.iter().map(|&i| v.dn_azs[i]).collect();
+            let azs: FastSet<_> = picked.iter().map(|&i| v.dn_azs[i]).collect();
             assert_eq!(azs.len(), 3, "one replica per AZ: {picked:?}");
         }
     }

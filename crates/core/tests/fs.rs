@@ -263,7 +263,7 @@ fn large_files_get_replicated_blocks() {
             // AZ-aware placement spans at least 2 AZs.
             let view = &h.cluster.view;
             for b in blocks {
-                let azs: std::collections::HashSet<_> =
+                let azs: simnet::FastSet<_> =
                     b.replicas.iter().map(|&d| view.dn_azs[d as usize]).collect();
                 assert!(azs.len() >= 2, "block replicas all in one AZ: {b:?}");
             }

@@ -9,7 +9,8 @@
 //! cancellation, not detection.
 
 use crate::schema::{LockMode, RowKey, TableId};
-use std::collections::{HashMap, VecDeque};
+use simnet::FastMap;
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Globally unique transaction identifier: issuing client plus sequence.
@@ -96,9 +97,9 @@ pub enum Acquire {
 /// ```
 #[derive(Debug, Default)]
 pub struct LockManager {
-    locks: HashMap<(TableId, RowKey), LockState>,
+    locks: FastMap<(TableId, RowKey), LockState>,
     /// Rows each transaction holds or waits on, for O(holdings) release.
-    by_tx: HashMap<TxId, Vec<(TableId, RowKey)>>,
+    by_tx: FastMap<TxId, Vec<(TableId, RowKey)>>,
 }
 
 impl Acquire {

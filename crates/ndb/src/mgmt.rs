@@ -18,9 +18,9 @@ use crate::messages::{
     ArbGrant, ArbPing, ArbPong, ArbRejoin, ArbRequest, ArbShutdown, EpochCommit, EpochPrepare,
     MgmtHeartbeat, MigrationDone, ReconfigReq,
 };
-use simnet::{Actor, Ctx, NodeId, Payload, SimDuration, SimTime};
+use simnet::{Actor, Ctx, FastSet, NodeId, Payload, SimDuration, SimTime};
 use std::any::Any;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 #[derive(Debug, Clone)]
 struct TickMgmt;
@@ -61,7 +61,7 @@ pub struct MgmtActor {
     /// Last heartbeat seen per management peer.
     last_hb: Vec<SimTime>,
     /// The cohort granted survival in the current episode, if any.
-    episode: Option<(HashSet<u32>, SimTime)>,
+    episode: Option<(FastSet<u32>, SimTime)>,
     /// Grants issued (for tests).
     pub grants: u64,
     /// Shutdown orders issued (for tests).
@@ -156,7 +156,7 @@ impl MgmtActor {
         (0..self.my_rank).all(|r| now.saturating_since(self.last_hb[r]) > deadline)
     }
 
-    fn episode_cohort(&mut self, now: SimTime) -> Option<&HashSet<u32>> {
+    fn episode_cohort(&mut self, now: SimTime) -> Option<&FastSet<u32>> {
         if let Some((_, at)) = &self.episode {
             if now.saturating_since(*at) > EPISODE_TTL {
                 self.episode = None;

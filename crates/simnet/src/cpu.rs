@@ -106,18 +106,15 @@ impl Lanes {
         Lanes { classes }
     }
 
-    fn class_mut(&mut self, name: &str) -> &mut LaneClass {
+    fn class_ix(&self, name: &str) -> usize {
         self.classes
-            .iter_mut()
-            .find(|c| c.name == name)
+            .iter()
+            .position(|c| c.name == name)
             .unwrap_or_else(|| panic!("unknown lane class {name}"))
     }
 
     fn class(&self, name: &str) -> &LaneClass {
-        self.classes
-            .iter()
-            .find(|c| c.name == name)
-            .unwrap_or_else(|| panic!("unknown lane class {name}"))
+        &self.classes[self.class_ix(name)]
     }
 
     /// Schedules a work item of `cost` on the earliest-free lane of `class`,
@@ -130,10 +127,10 @@ impl Lanes {
         self.execute_timed(class, now, cost).1
     }
 
-    /// Like [`execute`](Lanes::execute), but returns `(start, done, name)` —
+    /// Like [`execute`](Lanes::execute), but returns `(start, done, index)` —
     /// the instant the item actually started (so `start - now` is queueing
-    /// delay and `done - start` service time) and the class's `'static` name,
-    /// for metrics attribution.
+    /// delay and `done - start` service time) and the class's index in
+    /// declaration order, for metrics attribution.
     ///
     /// # Panics
     ///
@@ -143,8 +140,9 @@ impl Lanes {
         class: &str,
         now: SimTime,
         cost: SimDuration,
-    ) -> (SimTime, SimTime, &'static str) {
-        let c = self.class_mut(class);
+    ) -> (SimTime, SimTime, usize) {
+        let ix = self.class_ix(class);
+        let c = &mut self.classes[ix];
         // Earliest-free lane.
         let lane = {
             let mut best = 0usize;
@@ -165,7 +163,12 @@ impl Lanes {
         c.busy_until[lane] = done;
         c.busy_total += effective;
         c.items += 1;
-        (start, done, c.name)
+        (start, done, ix)
+    }
+
+    /// Name of the class at `index` (declaration order).
+    pub fn class_name(&self, index: usize) -> &'static str {
+        self.classes[index].name
     }
 
     /// Time at which the earliest lane of `class` becomes free (backlog probe).
@@ -362,8 +365,8 @@ mod tests {
     fn execute_timed_reports_queueing_split() {
         let mut l = Lanes::new(&[LaneClassSpec::new("q", 1)]);
         let c = SimDuration::from_micros(100);
-        let (s1, d1, name) = l.execute_timed("q", SimTime::ZERO, c);
-        assert_eq!((s1, d1, name), (SimTime::ZERO, SimTime::ZERO + c, "q"));
+        let (s1, d1, ix) = l.execute_timed("q", SimTime::ZERO, c);
+        assert_eq!((s1, d1, l.class_name(ix)), (SimTime::ZERO, SimTime::ZERO + c, "q"));
         // Second item queues behind the first: start = previous completion.
         let (s2, d2, _) = l.execute_timed("q", SimTime::ZERO, c);
         assert_eq!(s2, d1);

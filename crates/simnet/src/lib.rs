@@ -44,6 +44,7 @@
 mod availability;
 mod cpu;
 mod flow;
+mod hash;
 mod metrics;
 mod nemesis;
 mod retry;
@@ -56,6 +57,7 @@ mod wheel;
 pub use availability::{AvailabilityRecorder, AvailabilityReport, UnavailabilityWindow};
 pub use cpu::{Batching, Disk, DiskOp, LaneClassSpec, Lanes, UtilizationWindow};
 pub use flow::{poisson_interarrival, Admission, BoundedQueue, Gate, RateCurve, TokenBucket};
+pub use hash::{FastHasher, FastMap, FastSet};
 pub use metrics::{Counter, Histogram};
 pub use nemesis::{Fault, NemesisTrace, Schedule};
 pub use retry::RetryPolicy;

@@ -68,6 +68,7 @@
 //! ```
 
 use crate::cpu::{Disk, DiskOp, LaneClassSpec, Lanes};
+use crate::hash::{FastMap, FastSet};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{AzId, LatencyModel, Location};
 use crate::trace::{chrome_trace_json, MetricsRegistry, Span, SpanId, Tracer};
@@ -75,7 +76,7 @@ use crate::wheel::EventQueue;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -377,11 +378,11 @@ struct Globals {
     /// Directed AZ links currently blocked: `(src_az, dst_az)` means messages
     /// from `src_az` to `dst_az` are dropped. Symmetric partitions insert
     /// both directions; asymmetric (gray) partitions insert one.
-    blocked_az_links: HashSet<(u8, u8)>,
+    blocked_az_links: FastSet<(u8, u8)>,
     /// Directed node-pair links currently blocked.
-    blocked_node_links: HashSet<(u32, u32)>,
+    blocked_node_links: FastSet<(u32, u32)>,
     /// Nodes cut off from everyone (both directions).
-    isolated_nodes: HashSet<u32>,
+    isolated_nodes: FastSet<u32>,
     /// Installed probabilistic message faults.
     link_faults: Vec<LinkFault>,
     /// Placement of every node, indexed by id.
@@ -427,6 +428,9 @@ impl Globals {
 /// truth, the node's RNG stream, and its event-key counter.
 struct NodeLocal {
     lanes: Lanes,
+    /// Metrics slot of each lane class (declaration order) in the owning
+    /// shard's registry, interned once when the node joins the shard.
+    cpu_slots: Vec<u32>,
     disk: Option<Disk>,
     /// Ground-truth liveness (the shard owning the node sees changes from
     /// `shutdown_self` immediately; everyone else reads the published copy).
@@ -466,7 +470,7 @@ struct Shard {
     outbox: Vec<Vec<QueuedEvent>>,
     /// Next free instant of each directed inter-AZ link whose source AZ this
     /// shard owns (AZ-granular grouping makes the owner unique).
-    az_link_free: HashMap<(u8, u8), SimTime>,
+    az_link_free: FastMap<(u8, u8), SimTime>,
     /// Delivered bytes between AZ pairs: `az_traffic[src][dst]` (partial;
     /// summed across shards for queries).
     az_traffic: Vec<Vec<u64>>,
@@ -498,7 +502,7 @@ impl Shard {
             locals: Vec::new(),
             actors: Vec::new(),
             outbox: (0..nshards).map(|_| Vec::new()).collect(),
-            az_link_free: HashMap::new(),
+            az_link_free: FastMap::default(),
             az_traffic: Vec::new(),
             msgs_dropped: 0,
             msgs_duplicated: 0,
@@ -902,17 +906,15 @@ impl<'a> Ctx<'a> {
     /// Panics if the node has no such lane class.
     pub fn execute(&mut self, class: &str, cost: SimDuration) -> SimTime {
         let now = self.sh.now;
-        let (start, done, lane) = {
-            let l = &mut self.sh.locals[self.li];
-            let cost = if l.slowdown != 1.0 { cost.mul_f64(l.slowdown) } else { cost };
-            l.lanes.execute_timed(class, now, cost)
-        };
-        let layer = self.g.layers[self.me.0 as usize];
-        self.sh
-            .metrics
-            .record_cpu(layer, lane, start.saturating_since(now), done.saturating_since(start));
+        let l = &mut self.sh.locals[self.li];
+        let cost = if l.slowdown != 1.0 { cost.mul_f64(l.slowdown) } else { cost };
+        let (start, done, ix) = l.lanes.execute_timed(class, now, cost);
+        let slot = l.cpu_slots[ix];
+        let (queue, service) = (start.saturating_since(now), done.saturating_since(start));
+        self.sh.metrics.record_cpu_slot(slot, queue, service);
         let parent = self.sh.current_span;
         if parent.is_some() && self.sh.tracer.is_enabled() {
+            let lane = self.sh.locals[self.li].lanes.class_name(ix);
             self.sh.tracer.complete(lane, "cpu", parent, self.me.0, start, done);
         }
         done
@@ -1170,9 +1172,9 @@ impl Simulation {
                 latency,
                 jitter: 0.05,
                 inter_az_bandwidth: None,
-                blocked_az_links: HashSet::new(),
-                blocked_node_links: HashSet::new(),
-                isolated_nodes: HashSet::new(),
+                blocked_az_links: FastSet::default(),
+                blocked_node_links: FastSet::default(),
+                isolated_nodes: FastSet::default(),
                 link_faults: Vec::new(),
                 locations: Vec::new(),
                 layers: Vec::new(),
@@ -1287,8 +1289,11 @@ impl Simulation {
         let sh = &mut self.shards[shard_ix as usize];
         let li = sh.locals.len() as u32;
         self.g.home.push((shard_ix, li));
+        let cpu_slots =
+            spec.lanes.iter().map(|c| sh.metrics.cpu_slot(spec.layer, c.name)).collect();
         sh.locals.push(NodeLocal {
             lanes: Lanes::new(&spec.lanes),
+            cpu_slots,
             disk: spec.disk,
             alive: true,
             self_epoch: 0,
@@ -1659,7 +1664,11 @@ impl Simulation {
                 let sh = &mut shards[s as usize];
                 let li = sh.locals.len() as u32;
                 self.g.home[n as usize] = (s, li);
-                sh.locals.push(locals[n as usize].take().expect("node assigned twice"));
+                let mut local = locals[n as usize].take().expect("node assigned twice");
+                let layer = self.g.layers[n as usize];
+                local.cpu_slots =
+                    local.lanes.class_names().map(|c| sh.metrics.cpu_slot(layer, c)).collect();
+                sh.locals.push(local);
                 sh.actors.push(actors[n as usize].take());
             }
         }

@@ -6,8 +6,9 @@
 //!   deployment layer (a [`crate::NodeSpec::with_layer`] tag), where time
 //!   goes — network transit per directed AZ pair, CPU-lane queueing vs.
 //!   service, lock waits, retry/backoff — into named [`Histogram`]s and
-//!   counters. Recording is a couple of map lookups per event, cheap enough
-//!   to leave enabled in benchmarks.
+//!   counters. The kernel's per-event recording (every delivery and every
+//!   CPU work item) indexes dense tables, cheap enough to leave enabled in
+//!   benchmarks.
 //! - [`Tracer`] is **opt-in** ([`crate::Simulation::enable_tracing`]): it
 //!   assembles per-request [`Span`]s into a tree. Span ids ride along with
 //!   every message and timer delivery, so a client operation's span follows
@@ -22,6 +23,7 @@
 //! enabling tracing never perturbs the event schedule: a seeded run replays
 //! bit-identically with tracing on or off.
 
+use crate::hash::FastMap;
 use crate::metrics::Histogram;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::AzId;
@@ -159,6 +161,13 @@ pub struct CpuMetric {
     pub service: Histogram,
 }
 
+/// Transit time and delivered bytes of one directed AZ pair.
+#[derive(Debug, Clone, Default)]
+struct NetPair {
+    transit: Histogram,
+    bytes: u64,
+}
+
 /// Process-wide aggregation of named histograms and counters, keyed by the
 /// deployment layer of the recording node.
 ///
@@ -167,18 +176,30 @@ pub struct CpuMetric {
 /// shard-invariant "last writer".
 pub(crate) type DispatchStamp = (u64, u8, u128);
 
-/// All keys are `BTreeMap`-ordered so iteration (and anything derived from
-/// it, like exported JSON) is deterministic. The registry never draws
+/// Every iterator yields in key order, so iteration (and anything derived
+/// from it, like exported JSON) is deterministic. The registry never draws
 /// randomness or schedules events.
+///
+/// The two per-event recording paths avoid string-keyed lookups: network
+/// stats live in a dense table indexed by the directed AZ pair, and CPU
+/// stats in dense slots, one per `(layer, lane class)` pair interned by
+/// content ([`cpu_slot`](MetricsRegistry::cpu_slot)), which the kernel
+/// resolves once per node when the node is added.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    /// Per directed AZ pair: message transit time (send → delivery, ns).
-    net_transit: BTreeMap<(u8, u8), Histogram>,
-    /// Per directed AZ pair: delivered payload bytes. Mirrors the
-    /// simulation's `az_traffic` ledger exactly (recorded at delivery).
-    net_bytes: BTreeMap<(u8, u8), u64>,
-    /// Per (layer, lane class): CPU queue/service breakdown.
-    cpu: BTreeMap<(&'static str, &'static str), CpuMetric>,
+    /// Per directed AZ pair, row-major `[src * net_dim + dst]`: transit
+    /// time (send → delivery, ns) and delivered payload bytes. The bytes
+    /// mirror the simulation's `az_traffic` ledger exactly (recorded at
+    /// delivery). A pair with no transit sample counts as absent.
+    net: Vec<NetPair>,
+    /// Side of the square `net` table: one more than the largest AZ id seen.
+    net_dim: usize,
+    /// `(layer, lane class)` → index into `cpu`, interned by content, so
+    /// equal names from different allocations share one slot.
+    cpu_slots: FastMap<(&'static str, &'static str), u32>,
+    /// Per CPU slot: queue/service breakdown. A slot with no sample counts
+    /// as absent.
+    cpu: Vec<CpuMetric>,
     /// Per (layer, name): protocol wait histograms (lock waits, backoff, …).
     hists: BTreeMap<(&'static str, &'static str), Histogram>,
     /// Per (layer, name): event counters (retries, timeouts, …).
@@ -202,9 +223,53 @@ pub struct MetricsRegistry {
 impl MetricsRegistry {
     /// Records one delivered inter-node message.
     pub fn record_net(&mut self, src: AzId, dst: AzId, bytes: u64, transit: SimDuration) {
-        let key = (src.0, dst.0);
-        self.net_transit.entry(key).or_default().record(transit.as_nanos());
-        *self.net_bytes.entry(key).or_insert(0) += bytes;
+        let p = self.net_pair(src, dst);
+        p.transit.record(transit.as_nanos());
+        p.bytes += bytes;
+    }
+
+    /// The stats cell of one directed AZ pair, growing the table on the
+    /// first sight of a new AZ id.
+    fn net_pair(&mut self, src: AzId, dst: AzId) -> &mut NetPair {
+        let need = usize::from(src.0.max(dst.0)) + 1;
+        if need > self.net_dim {
+            let mut grown: Vec<NetPair> = (0..need * need).map(|_| NetPair::default()).collect();
+            for (i, p) in std::mem::take(&mut self.net).into_iter().enumerate() {
+                grown[i / self.net_dim * need + i % self.net_dim] = p;
+            }
+            self.net = grown;
+            self.net_dim = need;
+        }
+        &mut self.net[usize::from(src.0) * self.net_dim + usize::from(dst.0)]
+    }
+
+    /// The recorded stats of one directed AZ pair, if it has any.
+    fn net_get(&self, src: AzId, dst: AzId) -> Option<&NetPair> {
+        let (s, d) = (usize::from(src.0), usize::from(dst.0));
+        if s >= self.net_dim || d >= self.net_dim {
+            return None;
+        }
+        Some(&self.net[s * self.net_dim + d]).filter(|p| p.transit.count() > 0)
+    }
+
+    /// The CPU slot of a `(layer, lane class)` pair, interning it on first
+    /// use. Slots are dense and stable for the registry's lifetime (neither
+    /// [`clear`](MetricsRegistry::clear) nor a merge drops them).
+    pub(crate) fn cpu_slot(&mut self, layer: &'static str, lane: &'static str) -> u32 {
+        let next = self.cpu.len() as u32;
+        let slot = *self.cpu_slots.entry((layer, lane)).or_insert(next);
+        if slot == next {
+            self.cpu.push(CpuMetric::default());
+        }
+        slot
+    }
+
+    /// Records one CPU work item's queueing and service time into a slot
+    /// from [`cpu_slot`](MetricsRegistry::cpu_slot).
+    pub(crate) fn record_cpu_slot(&mut self, slot: u32, queue: SimDuration, service: SimDuration) {
+        let m = &mut self.cpu[slot as usize];
+        m.queue.record(queue.as_nanos());
+        m.service.record(service.as_nanos());
     }
 
     /// Records one CPU work item's queueing and service time.
@@ -215,9 +280,8 @@ impl MetricsRegistry {
         queue: SimDuration,
         service: SimDuration,
     ) {
-        let m = self.cpu.entry((layer, lane)).or_default();
-        m.queue.record(queue.as_nanos());
-        m.service.record(service.as_nanos());
+        let slot = self.cpu_slot(layer, lane);
+        self.record_cpu_slot(slot, queue, service);
     }
 
     /// Records a sample into the named histogram of a layer.
@@ -270,16 +334,25 @@ impl MetricsRegistry {
     /// survives; high-water marks take the max), which is likewise
     /// independent of how nodes were partitioned onto shards.
     pub(crate) fn merge_from(&mut self, other: &mut MetricsRegistry) {
-        for (key, h) in std::mem::take(&mut other.net_transit) {
-            self.net_transit.entry(key).or_default().merge(&h);
+        let dim = other.net_dim;
+        for (i, p) in other.net.iter_mut().enumerate() {
+            if p.transit.count() > 0 {
+                let into = self.net_pair(AzId((i / dim) as u8), AzId((i % dim) as u8));
+                into.transit.merge(&p.transit);
+                into.bytes += p.bytes;
+                p.transit.clear();
+                p.bytes = 0;
+            }
         }
-        for (key, b) in std::mem::take(&mut other.net_bytes) {
-            *self.net_bytes.entry(key).or_insert(0) += b;
-        }
-        for (key, m) in std::mem::take(&mut other.cpu) {
-            let into = self.cpu.entry(key).or_default();
-            into.queue.merge(&m.queue);
-            into.service.merge(&m.service);
+        for (&(layer, lane), &slot) in &other.cpu_slots {
+            let m = &mut other.cpu[slot as usize];
+            if m.queue.count() > 0 {
+                let into = self.cpu_slot(layer, lane) as usize;
+                self.cpu[into].queue.merge(&m.queue);
+                self.cpu[into].service.merge(&m.service);
+                m.queue.clear();
+                m.service.clear();
+            }
         }
         for (key, h) in std::mem::take(&mut other.hists) {
             self.hists.entry(key).or_default().merge(&h);
@@ -299,12 +372,12 @@ impl MetricsRegistry {
 
     /// Transit-time histogram of one directed AZ pair, if any was recorded.
     pub fn net_transit(&self, src: AzId, dst: AzId) -> Option<&Histogram> {
-        self.net_transit.get(&(src.0, dst.0))
+        self.net_get(src, dst).map(|p| &p.transit)
     }
 
     /// Delivered bytes of one directed AZ pair.
     pub fn net_bytes(&self, src: AzId, dst: AzId) -> u64 {
-        self.net_bytes.get(&(src.0, dst.0)).copied().unwrap_or(0)
+        self.net_get(src, dst).map_or(0, |p| p.bytes)
     }
 
     /// The named histogram of a layer, if any sample was recorded.
@@ -320,14 +393,24 @@ impl MetricsRegistry {
     /// Iterates `(src, dst, transit histogram, delivered bytes)` per
     /// directed AZ pair, in key order.
     pub fn iter_net(&self) -> impl Iterator<Item = (AzId, AzId, &Histogram, u64)> + '_ {
-        self.net_transit.iter().map(|(&(s, d), h)| {
-            (AzId(s), AzId(d), h, self.net_bytes.get(&(s, d)).copied().unwrap_or(0))
-        })
+        let dim = self.net_dim;
+        self.net
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.transit.count() > 0)
+            .map(move |(i, p)| (AzId((i / dim) as u8), AzId((i % dim) as u8), &p.transit, p.bytes))
     }
 
     /// Iterates `(layer, lane, breakdown)` per CPU lane class, in key order.
     pub fn iter_cpu(&self) -> impl Iterator<Item = (&'static str, &'static str, &CpuMetric)> + '_ {
-        self.cpu.iter().map(|(&(layer, lane), m)| (layer, lane, m))
+        let mut keys: Vec<_> = self
+            .cpu_slots
+            .iter()
+            .filter(|&(_, &slot)| self.cpu[slot as usize].queue.count() > 0)
+            .map(|(&key, &slot)| (key, slot))
+            .collect();
+        keys.sort_unstable();
+        keys.into_iter().map(|((layer, lane), slot)| (layer, lane, &self.cpu[slot as usize]))
     }
 
     /// Iterates `(layer, name, histogram)` for protocol wait histograms.
@@ -343,9 +426,14 @@ impl MetricsRegistry {
     /// Drops every recorded sample and counter (e.g. at the start of a
     /// measurement window).
     pub fn clear(&mut self) {
-        self.net_transit.clear();
-        self.net_bytes.clear();
-        self.cpu.clear();
+        for p in self.net.iter_mut().filter(|p| p.transit.count() > 0) {
+            p.transit.clear();
+            p.bytes = 0;
+        }
+        for m in self.cpu.iter_mut().filter(|m| m.queue.count() > 0) {
+            m.queue.clear();
+            m.service.clear();
+        }
         self.hists.clear();
         self.counters.clear();
         self.gauges.clear();

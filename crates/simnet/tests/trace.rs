@@ -1,8 +1,8 @@
 //! Span assembly and metrics-attribution invariants of `simnet::trace`.
 
 use simnet::{
-    Actor, Ctx, LaneClassSpec, Location, NodeId, NodeSpec, Payload, SimDuration, SimTime,
-    Simulation, SpanId,
+    Actor, AzId, Ctx, LaneClassSpec, Location, MetricsRegistry, NodeId, NodeSpec, Payload,
+    SimDuration, SimTime, Simulation, SpanId,
 };
 use std::any::Any;
 
@@ -137,4 +137,133 @@ fn chrome_trace_export_is_loadable_json() {
     assert!(json.contains("az1->az0 256B"));
     // Balanced braces — cheap structural sanity without a JSON parser.
     assert_eq!(json.matches('{').count(), json.matches('}').count());
+}
+
+/// One sample as the by-name recording API takes it.
+#[derive(Debug, Clone, Copy)]
+enum Sample {
+    Cpu(&'static str, &'static str, SimDuration, SimDuration),
+    Net(AzId, AzId, u64, SimDuration),
+}
+
+#[derive(Debug, Clone)]
+struct Token {
+    depart: SimTime,
+    bytes: u64,
+}
+
+/// Passes tokens around a ring, burning CPU on alternating lane classes at
+/// each hop, and logs every sample the kernel should record for it.
+struct RingNode {
+    next: NodeId,
+    layer: &'static str,
+    lanes: [&'static str; 2],
+    hops: u64,
+    log: Vec<Sample>,
+}
+
+impl Actor for RingNode {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.send_sized(self.next, 64, Token { depart: ctx.now(), bytes: 64 });
+    }
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Box<dyn Payload>) {
+        let Some(t) = msg.get::<Token>() else { return };
+        let now = ctx.now();
+        let (src, dst) = (ctx.az_of(from), ctx.az_of(ctx.me()));
+        self.log.push(Sample::Net(src, dst, t.bytes, now.saturating_since(t.depart)));
+        self.hops += 1;
+        let lane = self.lanes[(self.hops % 2) as usize];
+        let cost = SimDuration::from_micros(30 + 20 * (self.hops % 3));
+        let done = ctx.execute(lane, cost);
+        let queue = done.saturating_since(now).saturating_sub(cost);
+        self.log.push(Sample::Cpu(self.layer, lane, queue, cost));
+        let bytes = 64 + self.hops % 7 * 100;
+        ctx.send_sized_from(done, self.next, bytes, Token { depart: done, bytes });
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
+/// A name in an allocation of its own, so keys can only fold by content.
+fn leak(name: &str) -> &'static str {
+    String::from(name).leak()
+}
+
+/// Six ring nodes, one per (AZ, host) group, in two layers whose names (and
+/// lane class names) are separate allocations per node.
+fn ring(shards: u32) -> (Simulation, Vec<NodeId>) {
+    let mut sim = Simulation::new(5);
+    sim.set_shards(shards);
+    let ids: Vec<NodeId> = (0..6u32)
+        .map(|i| {
+            let layer = leak(if i % 2 == 0 { "front" } else { "back" });
+            let lanes = [leak("rx"), leak("tx")];
+            let spec = NodeSpec::new(format!("n{i}"), Location::new((i % 3) as u8, i))
+                .with_lanes(lanes.iter().map(|&l| LaneClassSpec::new(l, 1)).collect())
+                .with_layer(layer);
+            let next = NodeId((i + 1) % 6);
+            sim.add_node(spec, Box::new(RingNode { next, layer, lanes, hops: 0, log: Vec::new() }))
+        })
+        .collect();
+    (sim, ids)
+}
+
+/// Replays logged samples through the by-name API with freshly allocated
+/// names.
+fn record_by_name<'a>(m: &mut MetricsRegistry, samples: impl Iterator<Item = &'a Sample>) {
+    for s in samples {
+        match *s {
+            Sample::Cpu(layer, lane, q, svc) => m.record_cpu(leak(layer), leak(lane), q, svc),
+            Sample::Net(src, dst, bytes, transit) => m.record_net(src, dst, bytes, transit),
+        }
+    }
+}
+
+/// Everything `iter_cpu`, `iter_net` and `net_bytes` expose, full histogram
+/// state included.
+fn snapshot(m: &MetricsRegistry) -> Vec<String> {
+    let cpu = m.iter_cpu().map(|(l, n, c)| format!("cpu {l}/{n} {:?} {:?}", c.queue, c.service));
+    let net = m.iter_net().map(|(s, d, h, b)| format!("net {}->{} {b} {h:?}", s.0, d.0));
+    let bytes = (0..4u8)
+        .flat_map(|s| (0..4u8).map(move |d| (s, d)))
+        .map(|(s, d)| format!("bytes {s}->{d} {}", m.net_bytes(AzId(s), AzId(d))));
+    cpu.chain(net).chain(bytes).collect()
+}
+
+#[test]
+fn slot_recording_matches_by_name_recording_across_clear_and_shards() {
+    let mut snaps = Vec::new();
+    for shards in [1, 3] {
+        let (mut sim, ids) = ring(shards);
+        sim.run_until(SimTime::from_millis(20));
+        let logs = |sim: &Simulation| -> Vec<Vec<Sample>> {
+            ids.iter().map(|&id| sim.actor::<RingNode>(id).log.clone()).collect()
+        };
+        let before = logs(&sim);
+        let mut reference = MetricsRegistry::default();
+        record_by_name(&mut reference, before.iter().flatten());
+        assert_eq!(snapshot(sim.metrics()), snapshot(&reference), "shards={shards}");
+        assert!(sim.metrics().iter_net().count() >= 3, "the ring crosses AZs");
+
+        // A measurement window: both registries hold only what follows.
+        sim.metrics_mut().clear();
+        reference.clear();
+        let empty = snapshot(&MetricsRegistry::default());
+        assert_eq!(snapshot(sim.metrics()), empty);
+        assert_eq!(snapshot(&reference), empty);
+        sim.run_until(SimTime::from_millis(40));
+        let after = logs(&sim);
+        for (old, new) in before.iter().zip(&after) {
+            record_by_name(&mut reference, new[old.len()..].iter());
+        }
+        let snap = snapshot(sim.metrics());
+        assert_eq!(snap, snapshot(&reference), "shards={shards}");
+
+        // Six nodes' separately allocated names fold into four keys.
+        let keys: Vec<_> = sim.metrics().iter_cpu().map(|(l, n, _)| (l, n)).collect();
+        assert_eq!(keys, [("back", "rx"), ("back", "tx"), ("front", "rx"), ("front", "tx")]);
+        snaps.push(snap);
+    }
+    assert_eq!(snaps[0], snaps[1], "per-shard registries merge exactly");
 }

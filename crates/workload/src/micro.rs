@@ -168,7 +168,7 @@ mod tests {
     fn create_paths_are_unique() {
         let mut s = MicroSource::new(MicroOp::Create, ns(), 2, 0);
         let mut rng = StdRng::seed_from_u64(1);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = simnet::FastSet::default();
         for _ in 0..100 {
             let op = s.next_op(&mut rng, SimTime::ZERO).unwrap();
             assert!(seen.insert(op.path().to_string()), "duplicate create path");

@@ -274,7 +274,7 @@ mod tests {
     fn empirical_mix_matches_weights() {
         let mut s = source();
         let mut rng = StdRng::seed_from_u64(1);
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = simnet::FastMap::default();
         for _ in 0..20_000 {
             let op = s.next_op(&mut rng, SimTime::ZERO).unwrap();
             *counts.entry(op.kind()).or_insert(0u32) += 1;
@@ -316,7 +316,7 @@ mod tests {
         let mut s = source();
         s.subtree_burst = 1.0; // every delete pick bursts
         let mut rng = StdRng::seed_from_u64(4);
-        let mut grown = std::collections::HashSet::new();
+        let mut grown = simnet::FastSet::default();
         let mut recursive_deletes = 0u32;
         for _ in 0..20_000 {
             let op = s.next_op(&mut rng, SimTime::ZERO).unwrap();
