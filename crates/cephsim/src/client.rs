@@ -15,7 +15,7 @@ use hopsfs::{FsOp, OpKind};
 use simnet::{Actor, Ctx, FastMap, NodeId, Payload, SimDuration, SimTime};
 use std::any::Any;
 use std::sync::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 #[derive(Debug, Clone)]
@@ -42,6 +42,8 @@ pub struct CephClientActor {
     stats: Arc<Mutex<ClientStats>>,
     /// Kernel cache: path → cached result (attrs or listing).
     cache: FastMap<(String, bool), FsOk>,
+    /// The keys of `cache` in path order, so a subtree is one key range.
+    cached_paths: BTreeSet<(String, bool)>,
     /// Shared steady-state cache: capabilities every client already holds
     /// when the measurement starts (the paper measures warmed clusters;
     /// warming 10k sessions inside the simulation would waste hours of
@@ -83,6 +85,7 @@ impl CephClientActor {
             source,
             stats,
             cache: FastMap::default(),
+            cached_paths: BTreeSet::new(),
             prewarm: None,
             cache_order: VecDeque::new(),
             next_req: 0,
@@ -110,25 +113,39 @@ impl CephClientActor {
     /// again, so FIFO eviction is the only thing that would ever purge
     /// them).
     fn invalidate_subtree(&mut self, path: &str) {
-        let prefix = format!("{path}/");
-        self.cache.retain(|(p, _), _| p != path && !p.starts_with(&prefix));
+        // `path` itself, then every key under `path/`: those sort from
+        // `path/` up to `path0` ('0' follows '/'), while siblings sharing the
+        // name as a prefix (`path-x`, `pathx`) sort outside that range.
+        let own = (path.to_string(), false)..=(path.to_string(), true);
+        let below = (format!("{path}/"), false)..(format!("{path}0"), false);
+        let doomed: Vec<(String, bool)> =
+            self.cached_paths.range(own).chain(self.cached_paths.range(below)).cloned().collect();
+        for key in &doomed {
+            self.uncache(key);
+        }
+    }
+
+    fn uncache(&mut self, key: &(String, bool)) {
+        if self.cache.remove(key).is_some() {
+            self.cached_paths.remove(key);
+        }
     }
 
     fn invalidate_for(&mut self, op: &FsOp) {
         let path = op.path().to_string();
-        self.cache.remove(&(path.clone(), false));
-        self.cache.remove(&(path.clone(), true));
+        self.uncache(&(path.clone(), false));
+        self.uncache(&(path.clone(), true));
         if let Some(parent) = op.path().parent() {
-            self.cache.remove(&(parent.to_string(), true));
+            self.uncache(&(parent.to_string(), true));
         }
         match op {
             FsOp::Rename { src, dst } => {
                 self.invalidate_subtree(&src.to_string());
                 self.invalidate_subtree(&dst.to_string());
-                self.cache.remove(&(dst.to_string(), false));
-                self.cache.remove(&(dst.to_string(), true));
+                self.uncache(&(dst.to_string(), false));
+                self.uncache(&(dst.to_string(), true));
                 if let Some(parent) = dst.parent() {
-                    self.cache.remove(&(parent.to_string(), true));
+                    self.uncache(&(parent.to_string(), true));
                 }
             }
             FsOp::Delete { recursive: true, .. } => self.invalidate_subtree(&path),
@@ -214,13 +231,12 @@ impl CephClientActor {
             if let (Some(key), Ok(ok)) = (Self::cache_key(&p.op), &result) {
                 while self.cache.len() >= self.costs.client_cache_entries {
                     match self.cache_order.pop_front() {
-                        Some(old) => {
-                            self.cache.remove(&old);
-                        }
+                        Some(old) => self.uncache(&old),
                         None => break,
                     }
                 }
                 if self.cache.insert(key.clone(), ok.clone()).is_none() {
+                    self.cached_paths.insert(key.clone());
                     self.cache_order.push_back(key);
                 }
             }

@@ -12,6 +12,12 @@ fn p(s: &str) -> FsPath {
 }
 
 fn run_ops(ops: Vec<FsOp>) -> Vec<hopsfs::FsResult> {
+    run_ops_counted(ops).0
+}
+
+/// Runs `ops` in one session; returns its results, kernel-cache hits and
+/// MDS round trips.
+fn run_ops_counted(ops: Vec<FsOp>) -> (Vec<hopsfs::FsResult>, u64, u64) {
     let mut sim = Simulation::new(5);
     sim.set_jitter(0.0);
     let mut cluster =
@@ -22,27 +28,47 @@ fn run_ops(ops: Vec<FsOp>) -> Vec<hopsfs::FsResult> {
     let client = cluster.add_client(&mut sim, AzId(0), Box::new(ScriptedSource::new(ops)), stats);
     sim.actor_mut::<CephClientActor>(client).keep_results = true;
     assert!(run_clients_until_done(&mut sim, &[client], SimTime::from_secs(30)));
-    sim.actor::<CephClientActor>(client).results.clone()
+    let c = sim.actor::<CephClientActor>(client);
+    (c.results.clone(), c.cache_hits, c.mds_trips)
 }
 
 /// A rename moves the whole subtree: descendants cached under the old path
 /// must stop being served (they used to be stale forever, since their exact
-/// cache keys were never invalidated).
+/// cache keys were never invalidated), while siblings whose names merely
+/// start with the renamed one keep their cached entries. As strings,
+/// `/d/sub-x` sorts before `/d/sub/` and `/d/subway` after `/d/sub0`.
 #[test]
 fn rename_invalidates_cached_descendants() {
-    let results = run_ops(vec![
+    let ops = vec![
         FsOp::Mkdir { path: p("/d") },
         FsOp::Mkdir { path: p("/d/sub") },
         FsOp::Create { path: p("/d/sub/f"), size: 4 },
-        FsOp::Stat { path: p("/d/sub/f") }, // populates the kernel cache
-        FsOp::Stat { path: p("/d/sub/f") }, // served from cache
+        FsOp::Mkdir { path: p("/d/subway") },
+        FsOp::Create { path: p("/d/subway/f"), size: 4 },
+        FsOp::Mkdir { path: p("/d/sub-x") },
+        FsOp::Create { path: p("/d/sub-x/f"), size: 4 },
+        FsOp::Stat { path: p("/d/sub/f") },    // populates the kernel cache
+        FsOp::Stat { path: p("/d/sub/f") },    // served from cache
+        FsOp::Stat { path: p("/d/subway/f") }, // populates the kernel cache
+        FsOp::Stat { path: p("/d/sub-x/f") },  // populates the kernel cache
         FsOp::Rename { src: p("/d/sub"), dst: p("/d/moved") },
-        FsOp::Stat { path: p("/d/sub/f") },  // must MISS and report NotFound
+        FsOp::Stat { path: p("/d/sub/f") },   // must MISS and report NotFound
         FsOp::Stat { path: p("/d/moved/f") }, // alive under the new path
-    ]);
-    assert!(results[..6].iter().all(|r| r.is_ok()), "{results:?}");
-    assert_eq!(results[6], Err(FsError::NotFound), "stale cache served a renamed-away path");
-    assert!(results[7].is_ok());
+    ];
+    let (results, hits, trips) = run_ops_counted(ops.clone());
+    assert!(results[..12].iter().all(|r| r.is_ok()), "{results:?}");
+    assert_eq!(results[12], Err(FsError::NotFound), "stale cache served a renamed-away path");
+    assert!(results[13].is_ok());
+
+    // The same run plus one more stat of each sibling: both must be served
+    // from the kernel cache, without an MDS round trip.
+    let mut more = ops;
+    more.push(FsOp::Stat { path: p("/d/subway/f") });
+    more.push(FsOp::Stat { path: p("/d/sub-x/f") });
+    let (more_results, more_hits, more_trips) = run_ops_counted(more);
+    assert!(more_results[14..].iter().all(|r| r.is_ok()), "{more_results:?}");
+    assert_eq!(more_hits, hits + 2, "sibling-prefix entry dropped by the rename");
+    assert_eq!(more_trips, trips, "sibling-prefix stat went to an MDS");
 }
 
 /// Recursive delete kills the whole subtree, not just the directory entry.

@@ -334,9 +334,8 @@ impl FsClientActor {
         // hits cannot blow the stack).
         if self.view.config.lease.enabled {
             if let Some(kind) = cache_kind(op.kind()) {
-                let path = op.path().to_string();
-                if let Some(e) = self.cache.get(&path, kind, now) {
-                    let value = e.value.clone();
+                if let Some(e) = self.cache.get(op.path(), kind, now) {
+                    let result = Ok(e.value.clone());
                     if let Some(mon) = &self.monitor {
                         mon.lock().unwrap().check_serve(e, kind, now);
                     }
@@ -346,11 +345,10 @@ impl FsClientActor {
                         if stats.recording {
                             stats.lease_hits += 1;
                         }
-                        stats.record(op.kind(), &Ok(value.clone()), local);
+                        stats.record(op.kind(), &result, local);
                     }
                     let layer = ctx.layer();
                     ctx.metrics().inc(layer, "lease_cache_hits", 1);
-                    let result = Ok(value);
                     self.source.on_result(&op, &result);
                     if self.keep_results {
                         self.results.push(result);
@@ -510,7 +508,6 @@ impl FsClientActor {
         if let Some(grant) = resp.lease {
             let p = self.pending.as_ref().expect("pending checked above");
             if let (Some(kind), Ok(value)) = (cache_kind(p.op.kind()), &resp.result) {
-                let path = p.op.path().to_string();
                 let entry = CacheEntry {
                     value: value.clone(),
                     chain: grant.ids,
@@ -520,7 +517,7 @@ impl FsClientActor {
                     expiry: grant.expiry,
                     granted_by: grant.granted_by,
                 };
-                self.cache.insert(&path, kind, entry);
+                self.cache.insert(p.op.path(), kind, entry);
             }
         }
         self.complete(ctx, resp.result);

@@ -47,13 +47,17 @@
 //! chain ends in a fresh id `Y` (see the create-after-delete regression
 //! tests in `crates/core/tests/fs.rs`).
 //!
-//! Everything here uses `BTreeMap`/`BTreeSet`: iteration order feeds
-//! message emission and eviction, and same-seed replay must be
-//! bit-identical.
+//! Every map walked in an order that feeds message emission or eviction is
+//! a `BTreeMap`, because same-seed replay must be bit-identical. The
+//! client cache's hash indexes are walked only to collect what one
+//! invalidation drops, where order decides nothing.
 
+use crate::path::FsPath;
 use crate::types::FsOk;
-use simnet::{SimDuration, SimTime};
-use std::collections::{BTreeMap, BTreeSet};
+use simnet::{FastMap, FastSet, SimDuration, SimTime};
+use std::borrow::Borrow;
+use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 
 /// Cache-entry kind index: `stat` results.
 pub const KIND_STAT: u8 = 0;
@@ -220,14 +224,177 @@ pub struct CacheEntry {
     pub granted_by: u32,
 }
 
+/// A cache-key path, borrowed: the rendered form (`"/a/b"`, which renewals
+/// carry on the wire) or the parsed [`FsPath`] an operation already holds.
+/// Both find the same entry, and a lookup neither renders nor copies it.
+#[derive(Debug, Clone, Copy)]
+pub enum PathRef<'a> {
+    /// Rendered path.
+    Str(&'a str),
+    /// Parsed path.
+    Parsed(&'a FsPath),
+}
+
+impl<'a> From<&'a str> for PathRef<'a> {
+    fn from(s: &'a str) -> Self {
+        PathRef::Str(s)
+    }
+}
+
+impl<'a> From<&'a String> for PathRef<'a> {
+    fn from(s: &'a String) -> Self {
+        PathRef::Str(s)
+    }
+}
+
+impl<'a> From<&'a FsPath> for PathRef<'a> {
+    fn from(p: &'a FsPath) -> Self {
+        PathRef::Parsed(p)
+    }
+}
+
+impl PathRef<'_> {
+    /// Hashes the components, so both forms of one path hash alike.
+    fn hash_components<H: Hasher>(self, state: &mut H) {
+        match self {
+            PathRef::Str(s) => s.split('/').filter(|c| !c.is_empty()).for_each(|c| c.hash(state)),
+            PathRef::Parsed(p) => p.components().iter().for_each(|c| c.hash(state)),
+        }
+    }
+
+    /// Whether both name the same rendered path.
+    fn same(self, other: PathRef<'_>) -> bool {
+        match (self, other) {
+            (PathRef::Str(a), PathRef::Str(b)) => a == b,
+            (PathRef::Parsed(a), PathRef::Parsed(b)) => a == b,
+            (PathRef::Str(s), PathRef::Parsed(p)) | (PathRef::Parsed(p), PathRef::Str(s)) => {
+                renders_as(p, s)
+            }
+        }
+    }
+
+    fn render(self) -> String {
+        match self {
+            PathRef::Str(s) => s.to_string(),
+            PathRef::Parsed(p) => p.to_string(),
+        }
+    }
+}
+
+/// `p.to_string() == s`, without rendering `p`.
+fn renders_as(p: &FsPath, s: &str) -> bool {
+    if p.is_root() {
+        return s == "/";
+    }
+    let mut rest = s;
+    for c in p.components() {
+        match rest.strip_prefix('/').and_then(|r| r.strip_prefix(c.as_str())) {
+            Some(r) => rest = r,
+            None => return false,
+        }
+    }
+    rest.is_empty()
+}
+
+/// Owned `(path, kind)` key of the key index.
+#[derive(Debug)]
+struct Key {
+    path: String,
+    kind: u8,
+}
+
+/// Borrowed view of a [`Key`], so a `(PathRef, kind)` probe finds an owned
+/// key without building one (the idiom of [`crate::HintCache`]).
+trait KeyView {
+    fn path(&self) -> PathRef<'_>;
+    fn kind(&self) -> u8;
+}
+
+impl KeyView for Key {
+    fn path(&self) -> PathRef<'_> {
+        PathRef::Str(&self.path)
+    }
+    fn kind(&self) -> u8 {
+        self.kind
+    }
+}
+
+impl KeyView for (PathRef<'_>, u8) {
+    fn path(&self) -> PathRef<'_> {
+        self.0
+    }
+    fn kind(&self) -> u8 {
+        self.1
+    }
+}
+
+impl<'a> Borrow<dyn KeyView + 'a> for Key {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+// `Key` hashes and compares through this view too, so owned keys and
+// borrowed probes agree by construction.
+impl Hash for dyn KeyView + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.kind().hash(state);
+        self.path().hash_components(state);
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.kind() == other.kind() && self.path().same(other.path())
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self as &dyn KeyView).hash(state);
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        (self as &dyn KeyView) == (other as &dyn KeyView)
+    }
+}
+
+impl Eq for Key {}
+
+/// A cached entry and the key it is filed under.
+#[derive(Debug)]
+struct Slot {
+    path: String,
+    kind: u8,
+    entry: CacheEntry,
+}
+
 /// Client-side leased metadata cache: `(path, kind)` → [`CacheEntry`],
 /// bounded by evicting the earliest-expiring entry, with tombstones
 /// guarding against pushes overtaking in-flight grants.
+///
+/// Entries live in slots addressed by `u32` handles. Besides the key index,
+/// every chain id and every listed directory (of `ls` entries) indexes the
+/// handles of its entries, so an invalidation visits only the entries it
+/// drops. Eviction and renewal go by `(expiry, path string, kind)` order:
+/// the order of every `LeaseRenew` batch depends on it, and string order
+/// differs from component order (`/a-x` sorts before `/a/b`).
 #[derive(Debug, Default)]
 pub struct LeaseCache {
-    entries: BTreeMap<(String, u8), CacheEntry>,
-    /// Eviction order: earliest expiry first.
-    by_expiry: BTreeSet<(SimTime, String, u8)>,
+    /// Entry slots; `None` marks a free one (listed in `free`).
+    slots: Vec<Option<Slot>>,
+    free: Vec<u32>,
+    by_key: FastMap<Key, u32>,
+    /// Eviction and renewal order: earliest expiry first.
+    by_expiry: BTreeMap<(SimTime, String, u8), u32>,
+    /// chain id → entries whose chain contains it.
+    by_id: FastMap<u64, FastSet<u32>>,
+    /// listed directory id → `ls` entries listing it.
+    by_listing: FastMap<u64, FastSet<u32>>,
     /// id → latest conflicting commit upper bound; grants anchored at or
     /// before it are refused.
     tombstones: BTreeMap<u64, SimTime>,
@@ -243,32 +410,39 @@ impl LeaseCache {
 
     /// Live entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.by_key.len()
     }
 
     /// Whether no entry is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.by_key.is_empty()
     }
 
     /// Looks up a valid entry; lazily drops it if the lease expired.
     /// Returns `None` on miss or expiry.
-    pub fn get(&mut self, path: &str, kind: u8, now: SimTime) -> Option<&CacheEntry> {
-        let expired = match self.entries.get(&(path.to_string(), kind)) {
-            Some(e) => now >= e.expiry,
-            None => return None,
-        };
-        if expired {
-            self.remove(path, kind);
+    pub fn get<'p>(
+        &mut self,
+        path: impl Into<PathRef<'p>>,
+        kind: u8,
+        now: SimTime,
+    ) -> Option<&CacheEntry> {
+        let ix = self.find(path.into(), kind)?;
+        if now >= self.slot(ix).entry.expiry {
+            self.drop_slot(ix);
             return None;
         }
-        self.entries.get(&(path.to_string(), kind))
+        Some(&self.slot(ix).entry)
     }
 
     /// Installs a granted entry. Refused (returning `false`) when a
     /// tombstone shows a conflicting mutation may postdate the grant's
     /// anchor — the late-arriving grant would reintroduce stale data.
-    pub fn insert(&mut self, path: &str, kind: u8, entry: CacheEntry) -> bool {
+    pub fn insert<'p>(
+        &mut self,
+        path: impl Into<PathRef<'p>>,
+        kind: u8,
+        entry: CacheEntry,
+    ) -> bool {
         let blocked = entry.chain.iter().any(|id| {
             self.tombstones.get(id).is_some_and(|&t| entry.anchor <= t)
         }) || entry.listing_dir.is_some_and(|d| {
@@ -277,33 +451,52 @@ impl LeaseCache {
         if blocked {
             return false;
         }
+        let path = path.into();
         self.remove(path, kind);
-        while self.entries.len() >= self.cap {
-            let victim = match self.by_expiry.iter().next() {
-                Some((_, p, k)) => (p.clone(), *k),
+        while self.len() >= self.cap {
+            match self.by_expiry.values().next() {
+                Some(&victim) => self.drop_slot(victim),
                 None => break,
-            };
-            self.remove(&victim.0, victim.1);
+            }
         }
-        self.by_expiry.insert((entry.expiry, path.to_string(), kind));
-        self.entries.insert((path.to_string(), kind), entry);
+        let ix = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 cache slots")
+        });
+        for &id in &entry.chain {
+            self.by_id.entry(id).or_default().insert(ix);
+        }
+        if let (KIND_LIST, Some(d)) = (kind, entry.listing_dir) {
+            self.by_listing.entry(d).or_default().insert(ix);
+        }
+        let path = path.render();
+        self.by_key.insert(Key { path: path.clone(), kind }, ix);
+        self.by_expiry.insert((entry.expiry, path.clone(), kind), ix);
+        self.slots[ix as usize] = Some(Slot { path, kind, entry });
         true
     }
 
     /// Drops one entry.
-    pub fn remove(&mut self, path: &str, kind: u8) {
-        if let Some(e) = self.entries.remove(&(path.to_string(), kind)) {
-            self.by_expiry.remove(&(e.expiry, path.to_string(), kind));
+    pub fn remove<'p>(&mut self, path: impl Into<PathRef<'p>>, kind: u8) {
+        if let Some(ix) = self.find(path.into(), kind) {
+            self.drop_slot(ix);
         }
     }
 
     /// Extends one entry's lease (renewal); the anchor is unchanged.
-    pub fn extend(&mut self, path: &str, kind: u8, expiry: SimTime) {
-        if let Some(e) = self.entries.get_mut(&(path.to_string(), kind)) {
-            self.by_expiry.remove(&(e.expiry, path.to_string(), kind));
-            e.expiry = expiry;
-            self.by_expiry.insert((expiry, path.to_string(), kind));
-        }
+    pub fn extend<'p>(&mut self, path: impl Into<PathRef<'p>>, kind: u8, expiry: SimTime) {
+        let Some(ix) = self.find(path.into(), kind) else {
+            return;
+        };
+        let slot = self.slots[ix as usize].as_mut().expect("indexed slot is live");
+        // Re-file under the new expiry without copying the path: the probe
+        // borrows the slot's string for the lookup, the index keeps its own.
+        let probe = (slot.entry.expiry, std::mem::take(&mut slot.path), kind);
+        let ((_, path, _), _) =
+            self.by_expiry.remove_entry(&probe).expect("expiry index tracks every entry");
+        slot.path = probe.1;
+        slot.entry.expiry = expiry;
+        self.by_expiry.insert((expiry, path, kind), ix);
     }
 
     /// Applies an invalidation: drops every entry whose chain contains a
@@ -315,18 +508,21 @@ impl LeaseCache {
         listing_dirs: &[u64],
         commit_time: SimTime,
     ) -> u64 {
-        let doomed: Vec<(String, u8)> = self
-            .entries
-            .iter()
-            .filter(|(key, e)| {
-                e.chain.iter().any(|id| targets.contains(id))
-                    || (key.1 == KIND_LIST
-                        && e.listing_dir.is_some_and(|d| listing_dirs.contains(&d)))
-            })
-            .map(|(key, _)| key.clone())
-            .collect();
-        for (path, kind) in &doomed {
-            self.remove(path, *kind);
+        let mut doomed: Vec<u32> = Vec::new();
+        for id in targets {
+            doomed.extend(self.by_id.get(id).into_iter().flatten());
+        }
+        for d in listing_dirs {
+            doomed.extend(self.by_listing.get(d).into_iter().flatten());
+        }
+        // An entry may be doomed more than once (two targets in its chain,
+        // or a target and its listing); count and drop it once.
+        let mut dropped = 0;
+        for ix in doomed {
+            if self.slots[ix as usize].is_some() {
+                self.drop_slot(ix);
+                dropped += 1;
+            }
         }
         for &id in targets {
             let t = self.tombstones.entry(id).or_insert(commit_time);
@@ -336,7 +532,7 @@ impl LeaseCache {
             let t = self.listing_tombstones.entry(id).or_insert(commit_time);
             *t = (*t).max(commit_time);
         }
-        doomed.len() as u64
+        dropped
     }
 
     /// Entries expiring within `margin` that are still alive — the renewal
@@ -349,7 +545,7 @@ impl LeaseCache {
         max: usize,
     ) -> Vec<(String, u8)> {
         self.by_expiry
-            .iter()
+            .keys()
             .filter(|(exp, _, _)| *exp > now && exp.saturating_since(now) <= margin)
             .take(max)
             .map(|(_, p, k)| (p.clone(), *k))
@@ -357,19 +553,19 @@ impl LeaseCache {
     }
 
     /// Borrow an entry without an expiry check (renewal bookkeeping).
-    pub fn peek(&self, path: &str, kind: u8) -> Option<&CacheEntry> {
-        self.entries.get(&(path.to_string(), kind))
+    pub fn peek<'p>(&self, path: impl Into<PathRef<'p>>, kind: u8) -> Option<&CacheEntry> {
+        self.find(path.into(), kind).map(|ix| &self.slot(ix).entry)
     }
 
     /// Drops expired entries and stale tombstones. `horizon` is how long a
     /// tombstone can matter (`ttl` + revoke margin): any grant it would
     /// refuse has already expired by then.
     pub fn sweep(&mut self, now: SimTime, horizon: SimDuration) {
-        while let Some((exp, p, k)) = self.by_expiry.iter().next().cloned() {
+        while let Some((&(exp, _, _), &ix)) = self.by_expiry.first_key_value() {
             if exp > now {
                 break;
             }
-            self.remove(&p, k);
+            self.drop_slot(ix);
         }
         self.tombstones.retain(|_, &mut t| now.saturating_since(t) <= horizon);
         self.listing_tombstones.retain(|_, &mut t| now.saturating_since(t) <= horizon);
@@ -378,10 +574,40 @@ impl LeaseCache {
     /// Drops everything (client restart: registrations at namenodes will
     /// be acked-or-expired; the cache itself must not survive).
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.by_expiry.clear();
-        self.tombstones.clear();
-        self.listing_tombstones.clear();
+        *self = LeaseCache::new(self.cap);
+    }
+
+    fn find(&self, path: PathRef<'_>, kind: u8) -> Option<u32> {
+        self.by_key.get(&(path, kind) as &dyn KeyView).copied()
+    }
+
+    fn slot(&self, ix: u32) -> &Slot {
+        self.slots[ix as usize].as_ref().expect("indexed slot is live")
+    }
+
+    /// Frees a live slot and unfiles it from every index.
+    fn drop_slot(&mut self, ix: u32) {
+        let Slot { path, kind, entry } =
+            self.slots[ix as usize].take().expect("indexed slot is live");
+        self.free.push(ix);
+        self.by_key.remove(&(PathRef::Str(&path), kind) as &dyn KeyView);
+        for id in &entry.chain {
+            unfile(&mut self.by_id, *id, ix);
+        }
+        if let (KIND_LIST, Some(d)) = (kind, entry.listing_dir) {
+            unfile(&mut self.by_listing, d, ix);
+        }
+        self.by_expiry.remove(&(entry.expiry, path, kind));
+    }
+}
+
+/// Removes `ix` from `id`'s handle set, dropping the set once empty.
+fn unfile(index: &mut FastMap<u64, FastSet<u32>>, id: u64, ix: u32) {
+    if let Some(set) = index.get_mut(&id) {
+        set.remove(&ix);
+        if set.is_empty() {
+            index.remove(&id);
+        }
     }
 }
 

@@ -108,7 +108,8 @@ impl std::fmt::Display for FsPath {
             return f.write_str("/");
         }
         for c in &self.components {
-            write!(f, "/{c}")?;
+            f.write_str("/")?;
+            f.write_str(c)?;
         }
         Ok(())
     }

@@ -3,23 +3,31 @@
 #
 #   scripts/bench_pairs.sh <parent-rev> <change-rev> [workload...]
 #
-# Builds perfbench at both revisions (each in its own git worktree and
-# CARGO_TARGET_DIR, offline), then runs PAIRS alternating parent/change pairs
-# per workload (all of BENCHMARK.json's workloads by default) for
-# BENCHMARK.json's run_seconds each. Both runs of a pair share a seed; every
-# pair gets a new one. For each end-to-end metric it prints the parent's and
-# the change's median and quartiles, the change's win count (ties count for
-# neither side) and the parent's IQR: the inputs of the matched-pair rule
-# (a gain needs >= 9/10 wins and a median shift larger than the parent's
-# IQR).
+# Builds perfbench at both revisions (each exported with `git archive` into
+# its own directory under $TMPDIR, with its own CARGO_TARGET_DIR, offline),
+# then runs PAIRS alternating parent/change pairs per workload (all of
+# BENCHMARK.json's workloads by default) for BENCHMARK.json's run_seconds
+# each. Both runs of a pair share a seed; every pair gets a new one. For each
+# end-to-end metric it prints the parent's and the change's median and
+# quartiles, the change's win count (ties count for neither side) and the
+# parent's IQR: the inputs of the matched-pair rule (a gain needs >= 9/10
+# wins and a median shift larger than the parent's IQR).
 #
-# Exits non-zero if any run reports `correct: false`, or if the two sides'
-# `failed` counts differ on some pair. Reads perfbench/ and BENCHMARK.json
-# from the two revisions and edits neither. Needs git, cargo and python3.
+# It then checks that the simulated behaviour did not move: one `--trace 1`
+# run per workload and side at seed TRACE_SEED must give identical values
+# for every per-layer metric whose name does not start with `host_` (those
+# are host times).
+#
+# Exits non-zero if any run reports `correct: false`, if the two sides'
+# `failed` counts differ on some pair, or if a per-layer metric other than a
+# host time differs (it names each one). Reads perfbench/ and BENCHMARK.json
+# from the two revisions and edits neither. Needs git, tar, cargo and
+# python3.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 PAIRS=10
+TRACE_SEED=424242
 
 if [ $# -lt 2 ]; then
     echo "usage: $0 <parent-rev> <change-rev> [workload...]" >&2
@@ -41,28 +49,26 @@ else
 fi
 
 work=$(mktemp -d)
-cleanup() {
-    git worktree remove --force "$work/parent" >/dev/null 2>&1 || true
-    git worktree remove --force "$work/change" >/dev/null 2>&1 || true
-    rm -rf "$work"
-}
-trap cleanup EXIT
+trap 'rm -rf "$work"' EXIT
 
 for side in parent change; do
     rev=${!side}
-    git worktree add --detach --quiet "$work/$side" "$rev"
+    mkdir "$work/$side"
+    git archive "$rev" | tar -x -C "$work/$side"
     echo "building perfbench at $side ${rev:0:12}" >&2
     CARGO_TARGET_DIR="$work/target-$side" cargo build --release --quiet --offline \
         --manifest-path "$work/$side/perfbench/Cargo.toml"
 done
 
-# One run: appends perfbench's final JSON line to $work/runs/<workload>.<side>
-# (its human-readable report goes to the matching .log).
+# One run: appends perfbench's final JSON line to
+# $work/runs/<workload>.<side>[.trace] (its human-readable report goes to the
+# matching .log).
 run() {
-    local side=$1 workload=$2 seed=$3
+    local side=$1 workload=$2 seed=$3 trace=$4 secs=$5 out=$work/runs/$2.$1
+    if [ "$trace" = 1 ]; then out=$out.trace; fi
     (cd "$work/$side" && "$work/target-$side/release/perfbench" \
-        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) \
-        2>>"$work/runs/$workload.$side.log" | tail -n 1 >>"$work/runs/$workload.$side"
+        --workload "$workload" --seed "$seed" --seconds "$secs" --trace "$trace") \
+        2>>"$out.log" | tail -n 1 >>"$out"
 }
 
 mkdir -p "$work/runs"
@@ -72,18 +78,26 @@ for workload in "${workloads[@]}"; do
         seed=$((base + i))
         if ((i % 2 == 0)); then order="parent change"; else order="change parent"; fi
         for side in $order; do
-            run "$side" "$workload" "$seed"
+            run "$side" "$workload" "$seed" 0 "$seconds"
         done
         echo "$workload: pair $((i + 1))/$PAIRS (seed $seed, $order) done" >&2
     done
 done
+# Per-layer metrics come from a cell's own counters, so the shortest run
+# (perfbench's minimum number of cells) is enough.
+for workload in "${workloads[@]}"; do
+    for side in parent change; do
+        run "$side" "$workload" "$TRACE_SEED" 1 0
+    done
+    echo "$workload: --trace 1 runs (seed $TRACE_SEED) done" >&2
+done
 
 printf '%s\n' "$spec" >"$work/BENCHMARK.json"
-python3 - "$work" "$PAIRS" "$seconds" "$base" "${workloads[@]}" <<'EOF'
+python3 - "$work" "$PAIRS" "$seconds" "$base" "$TRACE_SEED" "${workloads[@]}" <<'EOF'
 import json, statistics, sys
 
 work, pairs, seconds, base = sys.argv[1], int(sys.argv[2]), sys.argv[3], int(sys.argv[4])
-workloads = sys.argv[5:]
+trace_seed, workloads = sys.argv[5], sys.argv[6:]
 with open(f"{work}/BENCHMARK.json") as f:
     spec = json.load(f)
 ok = True
@@ -129,6 +143,30 @@ for w in workloads:
         quart = lambda a, b: f"[{a:.5g}, {b:.5g}]"
         print(f"  {name:<14} {pm:>13.5g} {quart(p1, p3):>21} {cm:>13.5g} {quart(c1, c3):>21}"
               f" {delta:>+7.1%} {wins:>2}/{len(pv):<2} {rel(iqr):>10.1%}  {verdict}")
+
+print(f"\n== simulated behaviour: --trace 1, seed {trace_seed}")
+for w in workloads:
+    side = {}
+    for s in ("parent", "change"):
+        with open(f"{work}/runs/{w}.{s}.trace") as f:
+            side[s] = json.loads(f.read())
+        if not side[s]["correct"]:
+            print(f"  {w}: {s} --trace 1 run is not correct")
+            ok = False
+    p, c = side["parent"], side["change"]
+    if p["failed"] != c["failed"]:
+        print(f"  {w}: failed ops differ: parent {p['failed']}, change {c['failed']}")
+        ok = False
+    names = sorted(n for n in p["metrics"].keys() | c["metrics"].keys() if not n.startswith("host_"))
+    moved = [n for n in names
+             if p["metrics"].get(n, {}).get("value") != c["metrics"].get(n, {}).get("value")]
+    for n in moved:
+        pv, cv = (r["metrics"].get(n, {}).get("value") for r in (p, c))
+        print(f"  {w}: {n} differs: parent {pv}, change {cv}")
+    if moved:
+        ok = False
+    else:
+        print(f"  {w}: all {len(names)} non-host per-layer metrics identical")
 
 sys.exit(0 if ok else 1)
 EOF
