@@ -108,13 +108,9 @@ fn bench_event_loop(c: &mut Criterion) {
         })
     });
 
-    // The kernel-sharding cell: 12 actors on 12 host groups across 3 AZs,
-    // each keeping a deep pending-timer queue plus steady cross-AZ traffic.
-    // The same cell runs at shards=1 (sequential kernel) and shards=4
-    // (conservative-parallel windows); outputs are bit-identical — the
-    // determinism battery enforces it — so the wall-clock ratio of the two
-    // is exactly the sharding speedup (or, on a single hardware thread, the
-    // window-protocol overhead). EXPERIMENTS.md records both.
+    // A multi-AZ storm: 12 actors on 12 hosts across 3 AZs, each keeping a
+    // deep pending-timer queue plus steady cross-AZ traffic, so the timer
+    // wheel and the network path share the cost.
     struct AzStorm {
         peers: Vec<NodeId>,
         i: u64,
@@ -140,9 +136,8 @@ fn bench_event_loop(c: &mut Criterion) {
             self
         }
     }
-    fn run_multi_az_storm(shards: u32) -> u64 {
+    fn run_multi_az_storm() -> u64 {
         let mut sim = Simulation::new(7);
-        sim.set_shards(shards);
         let mut ids = Vec::new();
         for az in 0u8..3 {
             for host in 0u32..4 {
@@ -163,12 +158,7 @@ fn bench_event_loop(c: &mut Criterion) {
         sim.run_until(SimTime::from_millis(100));
         sim.events_processed()
     }
-    c.bench_function("sim_multi_az_storm_shards1", |b| {
-        b.iter(|| black_box(run_multi_az_storm(1)))
-    });
-    c.bench_function("sim_multi_az_storm_shards4", |b| {
-        b.iter(|| black_box(run_multi_az_storm(4)))
-    });
+    c.bench_function("sim_multi_az_storm", |b| b.iter(|| black_box(run_multi_az_storm())));
 }
 
 fn bench_hintcache(c: &mut Criterion) {

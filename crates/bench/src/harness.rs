@@ -238,13 +238,6 @@ fn mb_per_s(bytes: u64, window: SimDuration, nodes: usize, scale: usize) -> f64 
 pub fn run(setup: Setup, params: &Params) -> RunResult {
     let wall_start = std::time::Instant::now();
     let mut sim = Simulation::new(params.seed);
-    // CephFS cells keep the sequential kernel: their MDSs share one
-    // namespace object behind a lock, so parallel shards would race on it
-    // within a window. HopsFS cells are pure message-passing actors and
-    // shard cleanly; results are bit-identical for any shard count.
-    if !matches!(setup, Setup::Ceph { .. }) {
-        sim.set_shards(shards());
-    }
     // Effective per-tenant inter-AZ capacity per directed AZ pair (~3 Gb/s;
     // a calibration constant documented in DESIGN.md). This is what makes
     // "network I/O become a bottleneck" for non-AZ-aware deployments at high
@@ -539,27 +532,6 @@ pub fn threads() -> usize {
         return n;
     }
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-}
-
-/// Kernel shard count for every HopsFS-family cell a bench runs:
-/// `--shards N` on the command line, else the `BENCH_SHARDS` environment
-/// variable, else 1 (the sequential kernel). Any value is safe — artifacts
-/// are bit-identical across shard counts (the sharded-kernel determinism
-/// battery enforces it); the knob only trades wall-clock for cores.
-pub fn shards() -> u32 {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--shards" {
-            if let Some(n) = args.next().and_then(|v| v.parse().ok()) {
-                return n;
-            }
-        } else if let Some(v) = a.strip_prefix("--shards=") {
-            if let Ok(n) = v.parse() {
-                return n;
-            }
-        }
-    }
-    std::env::var("BENCH_SHARDS").ok().and_then(|v| v.parse().ok()).unwrap_or(1)
 }
 
 /// Runs many experiment points in parallel OS threads (each thread builds

@@ -193,11 +193,6 @@ impl Lanes {
         self.class(class).items
     }
 
-    /// Names of all classes, in declaration order.
-    pub fn class_names(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.classes.iter().map(|c| c.name)
-    }
-
     /// Snapshot of per-class busy totals, for windowed utilization.
     pub fn snapshot_busy(&self) -> Vec<(&'static str, SimDuration)> {
         self.classes.iter().map(|c| (c.name, c.busy_total)).collect()

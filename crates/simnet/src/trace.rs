@@ -171,11 +171,6 @@ struct NetPair {
 /// Process-wide aggregation of named histograms and counters, keyed by the
 /// deployment layer of the recording node.
 ///
-/// Global dispatch order `(time, phase, key)` of a metrics write; the kernel
-/// sets it before each dispatch so per-shard gauge merges have a
-/// shard-invariant "last writer".
-pub(crate) type DispatchStamp = (u64, u8, u128);
-
 /// Every iterator yields in key order, so iteration (and anything derived
 /// from it, like exported JSON) is deterministic. The registry never draws
 /// randomness or schedules events.
@@ -205,19 +200,11 @@ pub struct MetricsRegistry {
     /// Per (layer, name): event counters (retries, timeouts, …).
     counters: BTreeMap<(&'static str, &'static str), u64>,
     /// Per (layer, name): last-written gauges (queue depths, windows, …):
-    /// `(current, high_water, write_stamp)`. The stamp is the global dispatch
-    /// order `(time, phase, key)` of the write (set by the kernel before each
-    /// dispatch), which makes "last-written" well-defined when per-shard
-    /// registries are merged: the entry with the largest stamp wins,
-    /// independent of shard count. High-water marks are since the last
+    /// `(current, high_water)`. High-water marks are since the last
     /// [`clear`].
     ///
     /// [`clear`]: MetricsRegistry::clear
-    gauges: BTreeMap<(&'static str, &'static str), (u64, u64, DispatchStamp)>,
-    /// Dispatch stamp applied to gauge writes (see `gauges`). The kernel
-    /// updates it before every actor/control dispatch; recording methods
-    /// never change it.
-    cur_stamp: DispatchStamp,
+    gauges: BTreeMap<(&'static str, &'static str), (u64, u64)>,
 }
 
 impl MetricsRegistry {
@@ -253,8 +240,8 @@ impl MetricsRegistry {
     }
 
     /// The CPU slot of a `(layer, lane class)` pair, interning it on first
-    /// use. Slots are dense and stable for the registry's lifetime (neither
-    /// [`clear`](MetricsRegistry::clear) nor a merge drops them).
+    /// use. Slots are dense and stable for the registry's lifetime
+    /// ([`clear`](MetricsRegistry::clear) does not drop them).
     pub(crate) fn cpu_slot(&mut self, layer: &'static str, lane: &'static str) -> u32 {
         let next = self.cpu.len() as u32;
         let slot = *self.cpu_slots.entry((layer, lane)).or_insert(next);
@@ -298,16 +285,14 @@ impl MetricsRegistry {
     /// high-water mark as well (overload diagnosis cares about the peak
     /// queue depth, not just where it happened to sit at the last sample).
     pub fn set_gauge(&mut self, layer: &'static str, name: &'static str, value: u64) {
-        let stamp = self.cur_stamp;
-        let g = self.gauges.entry((layer, name)).or_insert((0, 0, stamp));
+        let g = self.gauges.entry((layer, name)).or_insert((0, 0));
         g.0 = value;
         g.1 = g.1.max(value);
-        g.2 = stamp;
     }
 
     /// The named gauge's `(current, high_water)` pair (zeros if never set).
     pub fn gauge(&self, layer: &str, name: &str) -> (u64, u64) {
-        self.gauges.get(&(layer, name)).map(|&(cur, hi, _)| (cur, hi)).unwrap_or((0, 0))
+        self.gauges.get(&(layer, name)).copied().unwrap_or((0, 0))
     }
 
     /// Iterates `(layer, name, current, high_water)` for gauges, in key
@@ -315,59 +300,7 @@ impl MetricsRegistry {
     pub fn iter_gauges(
         &self,
     ) -> impl Iterator<Item = (&'static str, &'static str, u64, u64)> + '_ {
-        self.gauges.iter().map(|(&(layer, name), &(cur, hi, _))| (layer, name, cur, hi))
-    }
-
-    /// Stamps subsequent gauge writes with the global dispatch order of the
-    /// event about to run. Called by the kernel before every dispatch.
-    pub(crate) fn set_stamp(&mut self, stamp: DispatchStamp) {
-        self.cur_stamp = stamp;
-    }
-
-    /// Drains every sample from `other` into `self`, leaving `other` empty.
-    ///
-    /// Histograms, counters, and byte ledgers merge by integer addition, so
-    /// the result is independent of merge order — which is what lets the
-    /// sharded kernel keep one registry per shard and fold them together at
-    /// coordinator points without perturbing artifacts. Gauges are
-    /// last-write-wins by dispatch stamp (largest stamp's current value
-    /// survives; high-water marks take the max), which is likewise
-    /// independent of how nodes were partitioned onto shards.
-    pub(crate) fn merge_from(&mut self, other: &mut MetricsRegistry) {
-        let dim = other.net_dim;
-        for (i, p) in other.net.iter_mut().enumerate() {
-            if p.transit.count() > 0 {
-                let into = self.net_pair(AzId((i / dim) as u8), AzId((i % dim) as u8));
-                into.transit.merge(&p.transit);
-                into.bytes += p.bytes;
-                p.transit.clear();
-                p.bytes = 0;
-            }
-        }
-        for (&(layer, lane), &slot) in &other.cpu_slots {
-            let m = &mut other.cpu[slot as usize];
-            if m.queue.count() > 0 {
-                let into = self.cpu_slot(layer, lane) as usize;
-                self.cpu[into].queue.merge(&m.queue);
-                self.cpu[into].service.merge(&m.service);
-                m.queue.clear();
-                m.service.clear();
-            }
-        }
-        for (key, h) in std::mem::take(&mut other.hists) {
-            self.hists.entry(key).or_default().merge(&h);
-        }
-        for (key, c) in std::mem::take(&mut other.counters) {
-            *self.counters.entry(key).or_insert(0) += c;
-        }
-        for (key, (cur, hi, stamp)) in std::mem::take(&mut other.gauges) {
-            let g = self.gauges.entry(key).or_insert((cur, 0, stamp));
-            if stamp >= g.2 {
-                g.0 = cur;
-                g.2 = stamp;
-            }
-            g.1 = g.1.max(hi);
-        }
+        self.gauges.iter().map(|(&(layer, name), &(cur, hi))| (layer, name, cur, hi))
     }
 
     /// Transit-time histogram of one directed AZ pair, if any was recorded.

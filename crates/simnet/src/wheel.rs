@@ -7,12 +7,11 @@
 //! which makes plain pushes pop earliest-first, FIFO on ties, the same
 //! order a `BinaryHeap<(Reverse(time), Reverse(seq))>` would produce.
 //!
-//! Caller-supplied keys are what makes the sharded kernel deterministic:
-//! the simulation derives every event's key from `(source node, per-node
-//! counter)` instead of a global insertion counter, so the key — and hence
-//! the pop order — is independent of how actors are partitioned onto
-//! shards. Do not mix `push` and `push_keyed` on one queue unless the
-//! caller guarantees key uniqueness across both.
+//! The simulation kernel uses caller-supplied keys: it derives every
+//! event's key from `(source node, per-node counter)`, so same-time events
+//! pop in an order fixed by who created them rather than by insertion.
+//! Do not mix `push` and `push_keyed` on one queue unless the caller
+//! guarantees key uniqueness across both.
 //!
 //! # Structure
 //!
@@ -237,12 +236,6 @@ impl<T> EventQueue<T> {
     pub fn peek_time(&mut self) -> Option<u64> {
         self.settle();
         self.near.peek().map(|&Reverse((time, _, _))| time)
-    }
-
-    /// `(time, key)` of the earliest event, if any.
-    pub fn peek_key(&mut self) -> Option<(u64, u128)> {
-        self.settle();
-        self.near.peek().map(|&Reverse((time, key, _))| (time, key))
     }
 
     fn alloc(&mut self, time: u64, key: u128, payload: T) -> u32 {
@@ -550,8 +543,8 @@ mod tests {
         // that repeatedly arms a far-future timer past the overflow horizon,
         // cancels it, and re-arms it — while the cursor rolls over the wheel
         // horizon — must recycle every tombstoned slot. A leak here grows
-        // the slab linearly with churn and would bloat every per-shard wheel
-        // in long sharded runs.
+        // the slab linearly with churn and would bloat the wheel in long
+        // runs.
         let horizon_ns = 1u64 << (G0_BITS + WHEEL_BITS);
         let mut q: EventQueue<u32> = EventQueue::new();
         let mut clock = 0u64;

@@ -330,19 +330,18 @@ impl Actor for RecordingRelay {
     }
 }
 
-// ---- sharded-kernel differential battery ----
+// ---- pinned storm scenarios ----
 
 #[derive(Debug, Clone)]
 struct StormTick;
 #[derive(Debug, Clone)]
 struct StormMsg(u64);
 
-/// One node of a random actor graph: ticks on a timer, sends a sized
-/// message to a seed-chosen peer, burns CPU, folds received payloads into a
-/// running state hash, logs every dispatch, and optionally shuts itself
-/// down mid-run. Exercises timers, jittered network delays, per-node RNG,
-/// lanes, metrics, and the self-epoch path — everything that must stay
-/// bit-identical across shard counts.
+/// One node of an actor graph: ticks on a timer, sends a sized message to a
+/// seed-chosen peer, burns CPU, folds received payloads into a running state
+/// hash, logs every dispatch, and optionally shuts itself down mid-run.
+/// Exercises timers, jittered network delays, per-node RNG, lanes, metrics
+/// and the node epoch.
 struct StormActor {
     peers: Vec<NodeId>,
     period_us: u64,
@@ -379,14 +378,17 @@ impl Actor for StormActor {
     }
 }
 
-/// A randomly generated storm scenario (see `storm_scenario`).
+/// An actor graph plus a fault schedule (see `storm_table`).
 #[derive(Debug, Clone)]
 struct StormScenario {
     seed: u64,
     /// Per node: (az, host-within-az, tick period µs, message bytes).
     nodes: Vec<(u8, u32, u64, u64)>,
-    /// Node index that voluntarily shuts down at 2.5ms, if any.
+    /// Node index that voluntarily shuts down at its first tick at or after
+    /// 2.5ms, if any.
     quitter: Option<usize>,
+    /// Instant (µs) at which the coordinator revives the quitter, if ever.
+    rejoin_us: Option<u64>,
     /// Node index crashed at 1.5ms and revived at 3ms, if any.
     victim: Option<usize>,
     /// AZ pair partitioned from 1ms to 2ms, if any.
@@ -395,37 +397,64 @@ struct StormScenario {
     dup_p: f64,
 }
 
-fn storm_scenario() -> impl Strategy<Value = StormScenario> {
-    (
-        (
-            any::<u64>(),
-            proptest::collection::vec((0u8..3, 0u32..2, 100u64..400, 64u64..2048), 3..10),
-        ),
-        (
-            (any::<bool>(), 0usize..16).prop_map(|(on, v)| on.then_some(v)),
-            (any::<bool>(), 0usize..16).prop_map(|(on, v)| on.then_some(v)),
-            (any::<bool>(), 0u8..3, 0u8..3).prop_map(|(on, a, b)| on.then_some((a, b))),
-            0.0..0.3f64,
-            0.0..0.3f64,
-        ),
-    )
-        .prop_map(|((seed, nodes), (quitter, victim, cut, drop_p, dup_p))| StormScenario {
-            seed,
-            nodes,
-            quitter,
-            victim,
-            cut,
-            drop_p,
-            dup_p,
-        })
+/// A fault-free scenario over the given nodes.
+fn calm(seed: u64, nodes: &[(u8, u32, u64, u64)]) -> StormScenario {
+    StormScenario {
+        seed,
+        nodes: nodes.to_vec(),
+        quitter: None,
+        rejoin_us: None,
+        victim: None,
+        cut: None,
+        drop_p: 0.0,
+        dup_p: 0.0,
+    }
 }
 
-/// Runs a storm scenario at a given shard count and jitter; returns a full
-/// observable signature plus the raw dispatch log in execution order.
-fn run_storm(sc: &StormScenario, shards: u32, jitter: f64) -> (String, Vec<(u64, u32, u64)>) {
+/// The pinned scenarios: each fault path on its own, then combined.
+fn storm_table() -> Vec<StormScenario> {
+    let five = [(0, 0, 200, 256), (0, 1, 250, 1024), (1, 0, 125, 128), (2, 0, 100, 64), (2, 1, 150, 512)];
+    let nine = [
+        (0, 0, 100, 64),
+        (0, 1, 180, 2000),
+        (1, 0, 220, 300),
+        (1, 1, 100, 128),
+        (1, 0, 390, 1500),
+        (2, 0, 250, 700),
+        (2, 1, 130, 90),
+        (0, 0, 310, 256),
+        (2, 1, 170, 1024),
+    ];
+    vec![
+        calm(11, &[(0, 0, 100, 64), (1, 0, 150, 512), (2, 1, 200, 2048), (0, 1, 250, 256)]),
+        // The quitter (250µs ticks) shuts down at exactly 2.5ms and is
+        // revived 10µs later, while messages sent to its old incarnation
+        // are still in flight: those must be dropped, later ones delivered.
+        StormScenario { quitter: Some(1), rejoin_us: Some(2_510), ..calm(22, &five) },
+        StormScenario { victim: Some(2), ..calm(33, &five) },
+        StormScenario { cut: Some((0, 2)), drop_p: 0.1, ..calm(44, &five) },
+        StormScenario { drop_p: 0.25, dup_p: 0.25, ..calm(55, &nine) },
+        StormScenario {
+            quitter: Some(0),
+            rejoin_us: Some(2_505),
+            victim: Some(3),
+            cut: Some((1, 2)),
+            drop_p: 0.05,
+            dup_p: 0.1,
+            ..calm(66, &nine)
+        },
+        // The victim is also the quitter: crashed at 1.5ms, revived at 3ms,
+        // and shut down at its first tick after that; AZ 1 is cut from
+        // itself meanwhile.
+        StormScenario { quitter: Some(1), victim: Some(1), cut: Some((1, 1)), ..calm(77, &five) },
+    ]
+}
+
+/// Runs a storm scenario at the given jitter; returns a full observable
+/// signature plus the raw dispatch log in execution order.
+fn run_storm(sc: &StormScenario, jitter: f64) -> (String, Vec<(u64, u32, u64)>) {
     use std::fmt::Write as _;
     let mut sim = Simulation::new(sc.seed);
-    sim.set_shards(shards);
     sim.set_jitter(jitter);
     let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
     let mut ids = Vec::new();
@@ -452,6 +481,9 @@ fn run_storm(sc: &StormScenario, shards: u32, jitter: f64) -> (String, Vec<(u64,
     if let Some(q) = sc.quitter {
         let q = ids[q % ids.len()];
         sim.actor_mut::<StormActor>(q).quit_at = Some(SimTime::from_nanos(2_500_000));
+        if let Some(us) = sc.rejoin_us {
+            sim.at(SimTime::from_nanos(us * 1_000), move |s| s.revive_node(q));
+        }
     }
     if sc.drop_p > 0.0 || sc.dup_p > 0.0 {
         sim.add_link_fault(
@@ -518,41 +550,41 @@ fn run_storm(sc: &StormScenario, shards: u32, jitter: f64) -> (String, Vec<(u64,
     (sig, log)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// 64-bit FNV-1a, continued from `h`.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
 
-    /// The sharded conservative-parallel kernel is observationally
-    /// equivalent to the sequential kernel on random actor graphs and fault
-    /// schedules: identical per-node states and timelines, metrics
-    /// snapshots, AZ ledgers, and event counts at shards ∈ {2, 4, 8} vs the
-    /// single-shard reference — and the dispatch multiset (every delivery's
-    /// (time, node, per-node seq)) matches exactly.
-    #[test]
-    fn sharded_kernel_matches_sequential_reference(sc in storm_scenario()) {
-        let (ref_sig, ref_log) = run_storm(&sc, 1, 0.05);
-        let mut ref_sorted = ref_log.clone();
-        ref_sorted.sort_unstable();
-        for shards in [2u32, 4, 8] {
-            let (sig, mut log) = run_storm(&sc, shards, 0.05);
-            prop_assert_eq!(&sig, &ref_sig, "signature diverged at shards={}", shards);
-            // Within a lockstep window shards dispatch concurrently, so the
-            // wall-clock interleaving of the shared log is arbitrary — but
-            // the set of dispatches (and each node's own order, via seq)
-            // must match the sequential run exactly.
-            log.sort_unstable();
-            prop_assert_eq!(&log, &ref_sorted, "dispatch set diverged at shards={}", shards);
-        }
+/// Digest of a storm run at jitter 0.05: the signature, then every dispatch
+/// `(time, node, per-node seq)` in execution order.
+fn storm_digest(sc: &StormScenario) -> u64 {
+    let (sig, log) = run_storm(sc, 0.05);
+    let mut h = fnv1a(0xcbf2_9ce4_8422_2325, sig.as_bytes());
+    for (t, node, seq) in log {
+        h = fnv1a(h, &t.to_le_bytes());
+        h = fnv1a(h, &node.to_le_bytes());
+        h = fnv1a(h, &seq.to_le_bytes());
     }
+    h
+}
 
-    /// With jitter >= 1 the lookahead collapses to zero and the multi-shard
-    /// kernel falls back to the sequential multi-queue merge — which must
-    /// reproduce the single-shard engine's *global dispatch order* event for
-    /// event, not just the per-node projections.
-    #[test]
-    fn zero_lookahead_fallback_preserves_global_order(sc in storm_scenario()) {
-        let (ref_sig, ref_log) = run_storm(&sc, 1, 1.0);
-        let (sig, log) = run_storm(&sc, 4, 1.0);
-        prop_assert_eq!(sig, ref_sig);
-        prop_assert_eq!(log, ref_log, "global pop order diverged");
-    }
+/// Digests of `storm_table()`, recorded on the kernel that kept separate
+/// crash and shutdown incarnation counters. The single node epoch that
+/// replaced them must reproduce every run exactly: these scenarios are the
+/// kernel-level check that combines `shutdown_self`, kill/revive and link
+/// faults.
+const GOLDEN_STORM_DIGESTS: [u64; 7] = [
+    0x6ea0_2553_9d75_982f,
+    0x4fd1_80fe_a0fb_07a0,
+    0x0e48_efe3_986e_62b0,
+    0xa224_98bf_f678_bd2f,
+    0xfad0_8261_08c0_008f,
+    0xaee1_a7a7_2cdb_b933,
+    0x9685_33a8_b088_c35b,
+];
+
+#[test]
+fn storm_scenarios_replay_to_pinned_digests() {
+    let got: Vec<u64> = storm_table().iter().map(storm_digest).collect();
+    assert_eq!(got, GOLDEN_STORM_DIGESTS, "storm replay changed (got {got:#018x?})");
 }

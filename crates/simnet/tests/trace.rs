@@ -190,11 +190,10 @@ fn leak(name: &str) -> &'static str {
     String::from(name).leak()
 }
 
-/// Six ring nodes, one per (AZ, host) group, in two layers whose names (and
-/// lane class names) are separate allocations per node.
-fn ring(shards: u32) -> (Simulation, Vec<NodeId>) {
+/// Six ring nodes on six hosts across three AZs, in two layers whose names
+/// (and lane class names) are separate allocations per node.
+fn ring() -> (Simulation, Vec<NodeId>) {
     let mut sim = Simulation::new(5);
-    sim.set_shards(shards);
     let ids: Vec<NodeId> = (0..6u32)
         .map(|i| {
             let layer = leak(if i % 2 == 0 { "front" } else { "back" });
@@ -232,38 +231,32 @@ fn snapshot(m: &MetricsRegistry) -> Vec<String> {
 }
 
 #[test]
-fn slot_recording_matches_by_name_recording_across_clear_and_shards() {
-    let mut snaps = Vec::new();
-    for shards in [1, 3] {
-        let (mut sim, ids) = ring(shards);
-        sim.run_until(SimTime::from_millis(20));
-        let logs = |sim: &Simulation| -> Vec<Vec<Sample>> {
-            ids.iter().map(|&id| sim.actor::<RingNode>(id).log.clone()).collect()
-        };
-        let before = logs(&sim);
-        let mut reference = MetricsRegistry::default();
-        record_by_name(&mut reference, before.iter().flatten());
-        assert_eq!(snapshot(sim.metrics()), snapshot(&reference), "shards={shards}");
-        assert!(sim.metrics().iter_net().count() >= 3, "the ring crosses AZs");
+fn slot_recording_matches_by_name_recording_across_clear() {
+    let (mut sim, ids) = ring();
+    sim.run_until(SimTime::from_millis(20));
+    let logs = |sim: &Simulation| -> Vec<Vec<Sample>> {
+        ids.iter().map(|&id| sim.actor::<RingNode>(id).log.clone()).collect()
+    };
+    let before = logs(&sim);
+    let mut reference = MetricsRegistry::default();
+    record_by_name(&mut reference, before.iter().flatten());
+    assert_eq!(snapshot(sim.metrics()), snapshot(&reference));
+    assert!(sim.metrics().iter_net().count() >= 3, "the ring crosses AZs");
 
-        // A measurement window: both registries hold only what follows.
-        sim.metrics_mut().clear();
-        reference.clear();
-        let empty = snapshot(&MetricsRegistry::default());
-        assert_eq!(snapshot(sim.metrics()), empty);
-        assert_eq!(snapshot(&reference), empty);
-        sim.run_until(SimTime::from_millis(40));
-        let after = logs(&sim);
-        for (old, new) in before.iter().zip(&after) {
-            record_by_name(&mut reference, new[old.len()..].iter());
-        }
-        let snap = snapshot(sim.metrics());
-        assert_eq!(snap, snapshot(&reference), "shards={shards}");
-
-        // Six nodes' separately allocated names fold into four keys.
-        let keys: Vec<_> = sim.metrics().iter_cpu().map(|(l, n, _)| (l, n)).collect();
-        assert_eq!(keys, [("back", "rx"), ("back", "tx"), ("front", "rx"), ("front", "tx")]);
-        snaps.push(snap);
+    // A measurement window: both registries hold only what follows.
+    sim.metrics_mut().clear();
+    reference.clear();
+    let empty = snapshot(&MetricsRegistry::default());
+    assert_eq!(snapshot(sim.metrics()), empty);
+    assert_eq!(snapshot(&reference), empty);
+    sim.run_until(SimTime::from_millis(40));
+    let after = logs(&sim);
+    for (old, new) in before.iter().zip(&after) {
+        record_by_name(&mut reference, new[old.len()..].iter());
     }
-    assert_eq!(snaps[0], snaps[1], "per-shard registries merge exactly");
+    assert_eq!(snapshot(sim.metrics()), snapshot(&reference));
+
+    // Six nodes' separately allocated names fold into four keys.
+    let keys: Vec<_> = sim.metrics().iter_cpu().map(|(l, n, _)| (l, n)).collect();
+    assert_eq!(keys, [("back", "rx"), ("back", "tx"), ("front", "rx"), ("front", "tx")]);
 }

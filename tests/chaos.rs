@@ -609,10 +609,9 @@ struct AzOutcome {
     resyncs: u64,
 }
 
-fn run_az_outage(seed: u64, shards: u32) -> AzOutcome {
+fn run_az_outage(seed: u64) -> AzOutcome {
     let cfg = hopsfs::FsConfig::hopsfs_cl(6, 3, 6);
     let mut sim = Simulation::new(seed);
-    sim.set_shards(shards);
     sim.set_jitter(0.0);
     let mut cluster = hopsfs::build_fs_cluster(&mut sim, cfg, 6);
     let view = cluster.view.clone();
@@ -755,21 +754,9 @@ fn run_az_outage(seed: u64, shards: u32) -> AzOutcome {
 
 #[test]
 fn az_outage_recovers_clean_and_replays_identically() {
-    let a = run_az_outage(17, 1);
-    let b = run_az_outage(17, 1);
+    let a = run_az_outage(17);
+    let b = run_az_outage(17);
     assert_eq!(a, b, "same-seed AZ-outage runs must be bit-identical");
-}
-
-/// The same whole-AZ outage schedule replayed on the conservative-parallel
-/// kernel: the complete Outcome — fault trace, event count, probe windows,
-/// audit counts, resyncs — must be bit-identical at every shard count.
-#[test]
-fn az_outage_outcome_is_shard_count_invariant() {
-    let reference = run_az_outage(17, 1);
-    for shards in [2, 4, 8] {
-        let got = run_az_outage(17, shards);
-        assert_eq!(got, reference, "AZ-outage outcome diverged at shards={shards}");
-    }
 }
 
 // --- Lease coherence under crash + partition --------------------------------
@@ -847,13 +834,12 @@ struct LeaseOutcome {
     pushes: u64,
 }
 
-fn run_lease_chaos(seed: u64, shards: u32) -> LeaseOutcome {
+fn run_lease_chaos(seed: u64) -> LeaseOutcome {
     const USERS: u64 = 3;
     let mut cfg = hopsfs::FsConfig::hopsfs_cl(6, 3, 3);
     cfg.lease.enabled = true;
     cfg.lease.ttl = SimDuration::from_secs(4);
     let mut sim = Simulation::new(seed);
-    sim.set_shards(shards);
     sim.set_jitter(0.0);
     let mut cluster = hopsfs::build_fs_cluster(&mut sim, cfg, 3);
     let view = cluster.view.clone();
@@ -969,21 +955,9 @@ fn run_lease_chaos(seed: u64, shards: u32) -> LeaseOutcome {
 
 #[test]
 fn lease_coherence_holds_under_crash_and_partition_and_replays_identically() {
-    let a = run_lease_chaos(17, 1);
-    let b = run_lease_chaos(17, 1);
+    let a = run_lease_chaos(17);
+    let b = run_lease_chaos(17);
     assert_eq!(a, b, "same-seed lease-chaos runs must be bit-identical");
-}
-
-/// The lease-coherence chaos schedule on the sharded kernel: cache hit/miss
-/// streams, revoke rounds, and the coherence verdict must not depend on the
-/// shard partition.
-#[test]
-fn lease_chaos_outcome_is_shard_count_invariant() {
-    let reference = run_lease_chaos(17, 1);
-    for shards in [2, 4, 8] {
-        let got = run_lease_chaos(17, shards);
-        assert_eq!(got, reference, "lease-chaos outcome diverged at shards={shards}");
-    }
 }
 
 // --- Elastic serving: diurnal load, NN crash mid-drain, node-group add ------

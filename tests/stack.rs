@@ -16,13 +16,8 @@ struct Deployment {
 }
 
 fn deploy(cfg: FsConfig, sessions: usize, seed: u64) -> Deployment {
-    deploy_sharded(cfg, sessions, seed, 1)
-}
-
-fn deploy_sharded(cfg: FsConfig, sessions: usize, seed: u64, shards: u32) -> Deployment {
     let azs = cfg.azs.clone();
     let mut sim = Simulation::new(seed);
-    sim.set_shards(shards);
     let mut cluster = build_fs_cluster(&mut sim, cfg, 0);
     let ns = Arc::new(Namespace::generate(&NamespaceSpec {
         users: 20,
@@ -210,52 +205,14 @@ fn chaos_cell_digest_matches_pre_swap_golden() {
     );
 }
 
-/// Digests recorded on the exact deploys above when the sharded kernel
-/// landed. Sharding replaced the single global RNG with one seeded stream
-/// per node (plus a separate coordinator stream) so that randomness is
-/// independent of the shard partition — a deliberate, one-time re-key per
-/// the DESIGN.md golden policy. Both cells replay bit-identically for any
-/// shard count against these values. If a *deliberate* schedule change
-/// ever requires re-recording, the failing assertion prints the current
-/// value — document the re-record in DESIGN.md.
+/// Digests recorded on the exact deploys above when the kernel replaced
+/// its single global RNG with one seeded stream per node (plus a separate
+/// coordinator stream) — a deliberate, one-time re-key per the DESIGN.md
+/// golden policy. If a *deliberate* schedule change ever requires
+/// re-recording, the failing assertion prints the current value — document
+/// the re-record in DESIGN.md.
 const GOLDEN_SPOTIFY_DIGEST: u64 = 0x815c_b066_94ea_8905;
 const GOLDEN_CHAOS_DIGEST: u64 = 0xeb0b_005c_4731_a9dd;
-
-/// Both golden cells replayed on the conservative-parallel kernel: the
-/// digest — which folds in the event count, every client verdict, the
-/// traffic ledger, the fault trace, and the per-layer counters — must hit
-/// the same golden at every shard count. This is the machine check that the
-/// shard partition is unobservable end to end, fault schedule included.
-#[test]
-fn golden_digests_are_shard_count_invariant() {
-    for shards in [2u32, 4, 8] {
-        let mut d = deploy_sharded(FsConfig::hopsfs_cl(6, 3, 3).scaled_down(8), 12, 33, shards);
-        d.sim.run_until(SimTime::from_secs(3));
-        let digest = run_digest(&d, &[]);
-        assert_eq!(
-            digest, GOLDEN_SPOTIFY_DIGEST,
-            "Spotify cell digest diverged at shards={shards} (got {digest:#018x})"
-        );
-
-        let mut d = deploy_sharded(FsConfig::hopsfs_cl(6, 3, 4).scaled_down(8), 10, 47, shards);
-        let nn1 = d.cluster.view.nn_ids[1];
-        let gray = d.cluster.view.ndb.datanode_ids[2];
-        let schedule = Schedule::new()
-            .at(SimTime::from_millis(800), Fault::GraySlow(gray, 50.0))
-            .at(SimTime::from_secs(1), Fault::Crash(nn1))
-            .at(SimTime::from_millis(1500), Fault::PartitionAzOneway(AzId(1), AzId(0)))
-            .at(SimTime::from_secs(2), Fault::Restart(nn1))
-            .at(SimTime::from_millis(2500), Fault::HealAzOneway(AzId(1), AzId(0)))
-            .at(SimTime::from_millis(2600), Fault::GrayHeal(gray));
-        let trace = schedule.install(&mut d.sim);
-        d.sim.run_until(SimTime::from_secs(4));
-        let digest = run_digest(&d, &trace.lines());
-        assert_eq!(
-            digest, GOLDEN_CHAOS_DIGEST,
-            "chaos cell digest diverged at shards={shards} (got {digest:#018x})"
-        );
-    }
-}
 
 #[test]
 fn deterministic_across_runs() {
